@@ -33,9 +33,10 @@ import (
 // first are nearly free.
 var benchTune = workload.Tuning{RefScale: 0.15}
 
-// BenchmarkFullRun is the end-to-end speed benchmark the repo's BENCH.json
-// baseline tracks: the complete Fig. 3 sweep (CG.C, cores 1..8) on the
-// 8-core UMA machine at quarter scale. Unlike the artifact benchmarks
+// BenchmarkFullRun is an end-to-end speed microbenchmark (`make
+// microbench`): the complete Fig. 3 sweep (CG.C, cores 1..8) on the
+// 8-core UMA machine at quarter scale. The gated repository benchmark is
+// perfbench (perfbench/README.md). Unlike the artifact benchmarks
 // above it builds a fresh Runner every iteration, so b.N iterations
 // re-simulate rather than hit the cache — ns/op is honest end-to-end
 // simulation time. The events/sec metric is simulated-events-per-second,

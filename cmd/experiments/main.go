@@ -39,11 +39,10 @@ import (
 func main() {
 	var common cli.Common
 	var (
-		runWhat  = flag.String("run", "all", "experiment: tableII|fig3|tableIII|fig4|fig5|fig6|tableIV|ablations|oversub|sensitivity|speedup|whitebox|all")
-		datDir   = flag.String("dat", "", "also write gnuplot-ready .dat files for the figures into this directory")
-		jsonDir  = flag.String("json", "", "also write machine-readable .json results into this directory")
-		cacheArg = flag.String("cache", "", "persistent run-cache file: loaded at start, saved at exit")
-		step     = flag.Int("step", 1, "core-count step for figure sweeps (1 = every count)")
+		runWhat = flag.String("run", "all", "experiment: tableII|fig3|tableIII|fig4|fig5|fig6|tableIV|ablations|oversub|sensitivity|speedup|whitebox|all")
+		datDir  = flag.String("dat", "", "also write gnuplot-ready .dat files for the figures into this directory")
+		jsonDir = flag.String("json", "", "also write machine-readable .json results into this directory")
+		step    = flag.Int("step", 1, "core-count step for figure sweeps (1 = every count)")
 	)
 	common.RegisterMachineAll("all")
 	common.RegisterScale()
@@ -67,27 +66,14 @@ func main() {
 		os.Exit(2)
 	}
 	defer cleanup()
-	if *cacheArg != "" {
-		n, err := r.LoadCache(*cacheArg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cache: %v\n", err)
-		} else if n > 0 {
-			fmt.Fprintf(os.Stderr, "cache: loaded %d runs from %s\n", n, *cacheArg)
-		}
-		defer func() {
-			if err := r.SaveCache(*cacheArg); err != nil {
-				fmt.Fprintf(os.Stderr, "cache: save failed: %v\n", err)
-			}
-		}()
-	}
 
 	run := func(name string, fn func() error) {
 		if *runWhat != "all" && *runWhat != name {
 			return
 		}
 		if err := fn(); err != nil {
-			// Run the deferred cleanups (journal close, cache save,
-			// tracer flush) before exiting; cli.Fatal maps cancellation
+			// Run the deferred cleanups (journal close, tracer
+			// flush) before exiting; cli.Fatal maps cancellation
 			// to exit 130 so wrappers can distinguish kill from failure.
 			cleanup()
 			cli.Fatal(name, err)

@@ -3,8 +3,7 @@
 //
 // The serving stack leaks goroutines in exactly the ways every Go server
 // does: a worker launched without a shutdown path outlives its request,
-// a loop variable captured by reference feeds every worker the last
-// element, a captured local written from two goroutines races. The
+// a captured local written from two goroutines races. The
 // ROADMAP-item-3 concurrent event core will multiply the goroutine
 // count, so the discipline is enforced at vet time: every `go`
 // statement in the concurrent layers must carry a provable shutdown
@@ -18,13 +17,12 @@
 //   - or it ranges over a channel (it ends when the producer closes),
 //   - or it carries //simcheck:allow(leaklint) <justification>.
 //
-// Two capture hazards are flagged alongside: referencing an enclosing
-// loop variable from the goroutine body instead of passing it as an
-// argument (safe under Go ≥1.22 per-iteration semantics, but the suite
-// requires the dependency to be explicit), and assigning to a captured
-// local without a lock held in the body (a data race unless every other
+// One capture hazard is flagged alongside: assigning to a captured local
+// without a lock held in the body (a data race unless every other
 // accessor is also synchronized — which the analyzer cannot see, so the
-// write must be guarded or justified).
+// write must be guarded or justified). Loop-variable capture is not
+// checked: go.mod declares Go 1.22, so every iteration has its own
+// variable and a capture cannot alias another iteration's value.
 //
 // leaklint also owns allow-directive hygiene for the whole suite: it
 // runs over every package (the goroutine checks apply only inside
@@ -55,7 +53,7 @@ const DefaultPackages = `(^|/)internal/(server|load|experiments|telemetry|model)
 
 var Analyzer = &analysis.Analyzer{
 	Name: Name,
-	Doc:  "require a provable shutdown path for every goroutine in the concurrent layers; flag by-reference loop captures and unsynchronized captured writes",
+	Doc:  "require a provable shutdown path for every goroutine in the concurrent layers; flag unsynchronized captured writes",
 	Run:  run,
 }
 
@@ -97,70 +95,19 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	return nil, nil
 }
 
-// checkFunc walks one function body looking for go statements, tracking
-// the loop variables in scope at each.
+// checkFunc walks one function body looking for go statements,
+// including goroutines launched from inside other goroutines.
 func checkFunc(pass *analysis.Pass, dir *simdir.Directives, body *ast.BlockStmt) {
-	var loopVars []types.Object
-	var walk func(n ast.Node) bool
-	walk = func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.RangeStmt:
-			saved := len(loopVars)
-			loopVars = append(loopVars, rangeVars(pass, n)...)
-			ast.Inspect(n.Body, walk)
-			loopVars = loopVars[:saved]
-			return false
-		case *ast.ForStmt:
-			saved := len(loopVars)
-			loopVars = append(loopVars, forVars(pass, n)...)
-			if n.Body != nil {
-				ast.Inspect(n.Body, walk)
-			}
-			loopVars = loopVars[:saved]
-			return false
-		case *ast.GoStmt:
-			checkGo(pass, dir, n, loopVars)
-			// Keep walking: the goroutine body may itself launch goroutines
-			// or loop.
+	ast.Inspect(body, func(n ast.Node) bool {
+		if g, ok := n.(*ast.GoStmt); ok {
+			checkGo(pass, dir, g)
 		}
 		return true
-	}
-	ast.Inspect(body, walk)
+	})
 }
 
-// rangeVars returns the per-iteration variables a range statement
-// declares or assigns.
-func rangeVars(pass *analysis.Pass, rng *ast.RangeStmt) []types.Object {
-	var vars []types.Object
-	for _, e := range []ast.Expr{rng.Key, rng.Value} {
-		if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
-			if obj := pass.TypesInfo.ObjectOf(id); obj != nil {
-				vars = append(vars, obj)
-			}
-		}
-	}
-	return vars
-}
-
-// forVars returns the variables declared in a classic for's init clause.
-func forVars(pass *analysis.Pass, f *ast.ForStmt) []types.Object {
-	assign, ok := f.Init.(*ast.AssignStmt)
-	if !ok {
-		return nil
-	}
-	var vars []types.Object
-	for _, l := range assign.Lhs {
-		if id, ok := l.(*ast.Ident); ok && id.Name != "_" {
-			if obj := pass.TypesInfo.ObjectOf(id); obj != nil {
-				vars = append(vars, obj)
-			}
-		}
-	}
-	return vars
-}
-
-// checkGo applies the three leak checks to one go statement.
-func checkGo(pass *analysis.Pass, dir *simdir.Directives, g *ast.GoStmt, loopVars []types.Object) {
+// checkGo applies the leak checks to one go statement.
+func checkGo(pass *analysis.Pass, dir *simdir.Directives, g *ast.GoStmt) {
 	lit, ok := g.Call.Fun.(*ast.FuncLit)
 	if !ok {
 		// The body is elsewhere; nothing about its shutdown is provable at
@@ -173,7 +120,6 @@ func checkGo(pass *analysis.Pass, dir *simdir.Directives, g *ast.GoStmt, loopVar
 		dir.Report(pass, Name, g.Pos(),
 			"goroutine has no provable shutdown path: select on ctx.Done() (or a done/stop channel), pair it with sync.WaitGroup Add/Done, range over a closable channel, or justify with //simcheck:allow(leaklint)")
 	}
-	checkLoopCapture(pass, dir, g, lit, loopVars)
 	checkCapturedWrites(pass, dir, lit)
 }
 
@@ -257,41 +203,6 @@ func isSyncType(t types.Type, name string) bool {
 	}
 	obj := named.Obj()
 	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" && obj.Name() == name
-}
-
-// checkLoopCapture flags uses of an enclosing loop variable inside the
-// goroutine body that were not passed through the call's arguments.
-func checkLoopCapture(pass *analysis.Pass, dir *simdir.Directives, g *ast.GoStmt, lit *ast.FuncLit, loopVars []types.Object) {
-	if len(loopVars) == 0 {
-		return
-	}
-	captured := map[types.Object]bool{}
-	for _, v := range loopVars {
-		captured[v] = true
-	}
-	// Loop variables passed as call arguments are the sanctioned pattern.
-	for _, arg := range g.Call.Args {
-		if id, ok := arg.(*ast.Ident); ok {
-			if obj := pass.TypesInfo.ObjectOf(id); obj != nil {
-				delete(captured, obj)
-			}
-		}
-	}
-	reported := map[types.Object]bool{}
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		obj := pass.TypesInfo.ObjectOf(id)
-		if obj == nil || !captured[obj] || reported[obj] {
-			return true
-		}
-		reported[obj] = true
-		dir.Report(pass, Name, id.Pos(),
-			"goroutine captures loop variable %q by reference; pass it as an argument so the per-iteration dependency is explicit", obj.Name())
-		return true
-	})
 }
 
 // checkCapturedWrites flags plain assignments to variables declared

@@ -69,36 +69,6 @@ func rangeWorker(jobs chan int) {
 	}()
 }
 
-// loopCapture references the loop variable instead of passing it.
-func loopCapture(ctx context.Context, items []int) {
-	for _, it := range items {
-		go func() {
-			<-ctx.Done()
-			use(it) // want `captures loop variable "it" by reference`
-		}()
-	}
-}
-
-// loopParam passes the loop variable as an argument: clean.
-func loopParam(ctx context.Context, items []int) {
-	for _, it := range items {
-		go func(it int) {
-			<-ctx.Done()
-			use(it)
-		}(it)
-	}
-}
-
-// forLoopCapture covers the classic three-clause loop too.
-func forLoopCapture(ctx context.Context) {
-	for i := 0; i < 4; i++ {
-		go func() {
-			<-ctx.Done()
-			use(i) // want `captures loop variable "i" by reference`
-		}()
-	}
-}
-
 // capturedWrite assigns a captured local with no lock in the body.
 func capturedWrite(ctx context.Context) int {
 	total := 0

@@ -2,8 +2,8 @@
 // simcheck suite (conccheck member 2 of 3).
 //
 // The serving stack's mutexes guard small state (admission counters,
-// latency EWMAs, caches); the failure modes are the classic three, and
-// each one is rejected at vet time:
+// latency EWMAs, caches); two classic failure modes are rejected at vet
+// time:
 //
 //   - Unlock pairing: a Lock whose Unlock is not deferred is tolerated
 //     only when the critical section is straight-line — the matching
@@ -17,9 +17,9 @@
 //     slowest request — all flagged inside the lock region, whether the
 //     region ends at the paired Unlock or (for deferred unlocks) at the
 //     end of the function.
-//   - Copied locks: a parameter or receiver whose non-pointer type
-//     (transitively) contains a sync.Mutex/RWMutex/WaitGroup/Once/Cond
-//     copies the lock state, so the copy guards nothing.
+//
+// Locks copied by value are not checked here: go vet's copylocks pass,
+// which `make check` runs, already rejects them.
 //
 // A site that is deliberately exempt carries
 // //simcheck:allow(locklint) <justification>.
@@ -48,7 +48,7 @@ const DefaultPackages = `(^|/)internal/(server|load|experiments|telemetry|model)
 
 var Analyzer = &analysis.Analyzer{
 	Name: Name,
-	Doc:  "enforce defer-or-straight-line Unlock pairing, forbid blocking operations under a mutex, and reject locks passed by value",
+	Doc:  "enforce defer-or-straight-line Unlock pairing and forbid blocking operations under a mutex",
 	Run:  run,
 }
 
@@ -77,10 +77,10 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			switch n := n.(type) {
 			case *ast.FuncDecl:
 				if n.Body != nil {
-					checkFunction(pass, dir, n.Recv, n.Type, n.Body)
+					checkFunction(pass, dir, n.Body)
 				}
 			case *ast.FuncLit:
-				checkFunction(pass, dir, nil, n.Type, n.Body)
+				checkFunction(pass, dir, n.Body)
 			}
 			return true
 		})
@@ -123,11 +123,10 @@ func lockCall(pass *analysis.Pass, call *ast.CallExpr) (key lockKey, acquire, ok
 		sel.Sel.Name == "Lock" || sel.Sel.Name == "RLock", true
 }
 
-// checkFunction applies all three checks to one function (declaration or
+// checkFunction applies both checks to one function (declaration or
 // literal). Nested literals are analyzed on their own visit, so their
 // statements are excluded here.
-func checkFunction(pass *analysis.Pass, dir *simdir.Directives, recv *ast.FieldList, ftype *ast.FuncType, body *ast.BlockStmt) {
-	checkByValueLocks(pass, dir, recv, ftype)
+func checkFunction(pass *analysis.Pass, dir *simdir.Directives, body *ast.BlockStmt) {
 	deferred := deferredUnlocks(pass, body)
 	for _, list := range statementLists(body) {
 		checkList(pass, dir, list, deferred)
@@ -394,61 +393,6 @@ func isRunnerType(t types.Type) bool {
 		return false
 	}
 	return named.Obj().Name() == "Runner"
-}
-
-// checkByValueLocks flags parameters and receivers whose non-pointer
-// type contains a lock.
-func checkByValueLocks(pass *analysis.Pass, dir *simdir.Directives, recv *ast.FieldList, ftype *ast.FuncType) {
-	lists := []*ast.FieldList{recv, ftype.Params}
-	for _, fl := range lists {
-		if fl == nil {
-			continue
-		}
-		for _, field := range fl.List {
-			t := pass.TypesInfo.TypeOf(field.Type)
-			if t == nil {
-				continue
-			}
-			if _, isPtr := t.(*types.Pointer); isPtr {
-				continue
-			}
-			if name := containedLock(t, map[types.Type]bool{}); name != "" {
-				dir.Report(pass, Name, field.Pos(),
-					"passing %s by value copies its %s; pass a pointer so the original lock still guards the state", types.TypeString(t, types.RelativeTo(pass.Pkg)), name)
-			}
-		}
-	}
-}
-
-// lockTypeNames are the sync types whose value-copy is a bug.
-var lockTypeNames = map[string]bool{
-	"Mutex": true, "RWMutex": true, "WaitGroup": true, "Once": true, "Cond": true,
-}
-
-// containedLock returns the name of a sync lock type contained
-// (transitively, by value) in t, or "".
-func containedLock(t types.Type, seen map[types.Type]bool) string {
-	if seen[t] {
-		return ""
-	}
-	seen[t] = true
-	switch u := t.(type) {
-	case *types.Named:
-		obj := u.Obj()
-		if obj.Pkg() != nil && obj.Pkg().Path() == "sync" && lockTypeNames[obj.Name()] {
-			return "sync." + obj.Name()
-		}
-		return containedLock(u.Underlying(), seen)
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if name := containedLock(u.Field(i).Type(), seen); name != "" {
-				return name
-			}
-		}
-	case *types.Array:
-		return containedLock(u.Elem(), seen)
-	}
-	return ""
 }
 
 // isSyncType reports whether t is sync.<name> or *sync.<name>.

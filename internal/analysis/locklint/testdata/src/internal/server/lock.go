@@ -151,30 +151,6 @@ func (c *counter) lockAfterRelease(r *Runner) {
 	use(r.Run(n))
 }
 
-// byValueParam copies the lock with the struct.
-func snapshot(c counter) int { // want `passing counter by value copies its sync.Mutex`
-	return c.n
-}
-
-// byValueReceiver copies the lock on every call.
-func (c counter) peek() int { // want `passing counter by value copies its sync.Mutex`
-	return c.n
-}
-
-// pointerParam is the correct shape: clean.
-func drain(c *counter) int {
-	return c.n
-}
-
-// embedded locks are found transitively.
-type wrapper struct {
-	inner counter
-}
-
-func copyWrapper(w wrapper) { // want `passing wrapper by value copies its sync.Mutex`
-	_ = w
-}
-
 // allowedSend is a justified exception: the receiver is guaranteed ready
 // in a way the analyzer cannot see.
 func (c *counter) allowedSend(out chan int) {

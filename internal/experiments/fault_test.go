@@ -311,6 +311,43 @@ func TestJournalStaleVersionRestarted(t *testing.T) {
 	}
 }
 
+// TestJournalOldCacheBlobRestarted verifies that a file in the retired
+// whole-cache format ({"version":N,"entries":[...]} on one line) is not
+// mistaken for a journal header even when N is current: it takes the
+// stale-version path — a warning, then a fresh journal — instead of
+// dropping its runs silently and appending after the blob.
+func TestJournalOldCacheBlobRestarted(t *testing.T) {
+	journalPath := filepath.Join(t.TempDir(), "runs.json")
+	blob := fmt.Sprintf(`{"version":%d,"entries":[{"key":{"machine":"IntelUMA8","program":"CG","class":"W","cores":1,"scale":0.05},"result":{}}]}`,
+		cacheVersion)
+	if err := os.WriteFile(journalPath, []byte(blob), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r := NewRunner(quickTune)
+	var progress bytes.Buffer
+	r.Progress = &progress
+	resumed, skipped, err := r.AttachJournal(journalPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed != 0 || skipped != 0 || r.CacheLen() != 0 {
+		t.Errorf("old cache blob resumed=%d skipped=%d cached=%d, want 0/0/0", resumed, skipped, r.CacheLen())
+	}
+	if !strings.Contains(progress.String(), "stale version; restarting it") {
+		t.Errorf("no stale-version warning:\n%s", progress.String())
+	}
+	if err := r.CloseJournal(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(journalPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("{\"version\":%d}\n", cacheVersion); string(data) != want {
+		t.Errorf("restarted journal = %q, want %q", data, want)
+	}
+}
+
 // TestRunCanceledInQueue verifies the queue-wait cancellation point: with
 // a saturated worker pool, a canceled caller returns promptly with the
 // context error and runner_canceled_total is incremented.

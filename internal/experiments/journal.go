@@ -11,20 +11,19 @@ import (
 	"repro/internal/sim"
 )
 
-// Sweep checkpoint/resume: the journal is an append-only NDJSON file of
-// completed run results, written as the sweep progresses so a killed
-// sweep loses at most the runs still in flight. Restarting with the same
-// journal path replays every journaled result into the cache before any
-// simulation starts; the sweep then re-simulates only the remainder and
-// produces byte-identical artifacts to an uninterrupted run, because
-// sim.Result round-trips exactly through JSON and results are
-// deterministic per cache version.
+// Sweep checkpoint/resume: the journal is the runner's one persistent
+// run store, an append-only NDJSON file of completed run results,
+// written as the sweep progresses so a killed sweep loses at most the
+// runs still in flight. Restarting with the same journal path replays
+// every journaled result into the cache before any simulation starts;
+// the sweep then re-simulates only the remainder and produces
+// byte-identical artifacts to an uninterrupted run, because sim.Result
+// round-trips exactly through JSON and results are deterministic per
+// cache version.
 //
 // Format (one JSON value per line):
 //
-//	{"version":3}                 — header; the version is cacheVersion,
-//	                                shared with the persistent cache so
-//	                                both invalidate together
+//	{"version":3}                 — header; the version is cacheVersion
 //	{"key":{...},"result":{...}}  — one completed run (cacheEntry shape)
 //
 // Each entry is appended with a single O_APPEND write of the whole line,
@@ -33,6 +32,23 @@ import (
 // parsing on load and is skipped with a warning — that run is simply
 // re-simulated. A version-mismatched journal is discarded and restarted
 // rather than resumed, so stale results can never leak into artifacts.
+// The header must be exactly {"version":N}: any other first line, such as
+// a whole-cache JSON blob, counts as a stale version.
+
+// cacheEntry is the serialized form of one run.
+type cacheEntry struct {
+	Key    RunKey     `json:"key"`
+	Result sim.Result `json:"result"`
+}
+
+// journalHeader is the first line of every journal.
+type journalHeader struct {
+	Version int `json:"version"`
+}
+
+// cacheVersion must change whenever workloads, machines or the simulator
+// change in a way that alters results.
+const cacheVersion = 3
 
 // journal is the open journal file. Appends are serialized by mu and
 // flushed with a single Write, making each line atomic with respect to
@@ -76,9 +92,7 @@ func (r *Runner) AttachJournal(path string) (resumed, skipped int, err error) {
 		return 0, 0, err
 	}
 	if fresh {
-		header, _ := json.Marshal(struct {
-			Version int `json:"version"`
-		}{cacheVersion})
+		header, _ := json.Marshal(journalHeader{cacheVersion})
 		if _, err := f.Write(append(header, '\n')); err != nil {
 			f.Close()
 			return 0, 0, fmt.Errorf("experiments: journal header: %w", err)
@@ -114,7 +128,8 @@ func (r *Runner) AttachJournal(path string) (resumed, skipped int, err error) {
 
 // parseJournal decodes journal bytes into entries, counting undecodable
 // lines (corruption, or the torn final line of a killed run). versionOK
-// reports whether the header line matched cacheVersion.
+// reports whether the header line is exactly a journalHeader carrying
+// cacheVersion; unknown fields fail the check.
 func parseJournal(data []byte) (entries []cacheEntry, skipped int, versionOK bool) {
 	sc := bufio.NewScanner(bytes.NewReader(data))
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
@@ -126,10 +141,10 @@ func parseJournal(data []byte) (entries []cacheEntry, skipped int, versionOK boo
 		}
 		if first {
 			first = false
-			var hdr struct {
-				Version int `json:"version"`
-			}
-			if json.Unmarshal(line, &hdr) != nil || hdr.Version != cacheVersion {
+			var hdr journalHeader
+			dec := json.NewDecoder(bytes.NewReader(line))
+			dec.DisallowUnknownFields()
+			if dec.Decode(&hdr) != nil || hdr.Version != cacheVersion {
 				return nil, 0, false
 			}
 			versionOK = true

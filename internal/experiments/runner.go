@@ -594,6 +594,13 @@ func (r *Runner) Cached(key RunKey) (sim.Result, bool) {
 	return res, ok
 }
 
+// CacheLen returns the number of cached runs.
+func (r *Runner) CacheLen() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.cache)
+}
+
 // Measure converts a run into a model measurement.
 func (r *Runner) Measure(ctx context.Context, spec machine.Spec, program string, class workload.Class, cores int) (core.Measurement, error) {
 	res, err := r.Run(ctx, spec, program, class, cores)

@@ -3,7 +3,6 @@ package server
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -28,6 +27,12 @@ import (
 // everything and responds in request order. Either way each simulation
 // point releases its token the moment it settles, so a long curve does
 // not hold the queue hostage while its slowest point simulates.
+//
+// Predict is not served as a one-point curve: the endpoints differ in
+// span tree (server.sim/server.respond vs server.point), metric
+// families and error mapping, and tracelint requires literal span and
+// metric names, so a merged handler would branch on the endpoint at
+// every step. They share request parsing (parseRequest) instead.
 
 // curveParams is one parsed and validated curve request.
 type curveParams struct {
@@ -44,22 +49,11 @@ type curveParams struct {
 // double-charge admission).
 func (s *Server) parseCurve(r *http.Request) (curveParams, *httpError) {
 	var p curveParams
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&p.req); err != nil {
-		return p, &httpError{http.StatusBadRequest, fmt.Sprintf("invalid request body: %v", err)}
-	}
-	spec, err := machine.ByName(p.req.Machine)
-	if err != nil {
-		return p, &httpError{http.StatusBadRequest, err.Error()}
-	}
-	p.spec = spec
-	if err := validateWorkload(p.req.Program, p.req.Class); err != nil {
-		return p, &httpError{http.StatusBadRequest, err.Error()}
-	}
-	if herr := s.checkScale(p.req.Scale); herr != nil {
+	spec, herr := s.parseRequest(r, &p.req, &p.req.Machine, &p.req.Program, &p.req.Class, &p.req.Scale)
+	if herr != nil {
 		return p, herr
 	}
+	p.spec = spec
 	if len(p.req.Cores) == 0 {
 		p.cores = make([]int, spec.TotalCores())
 		for i := range p.cores {

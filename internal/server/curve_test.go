@@ -2,9 +2,11 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -30,6 +32,7 @@ type stubPredictor struct {
 	declineSet map[int]bool
 	gate       chan struct{}         // PredictStream blocks here when non-nil
 	simErr     func(cores int) error // per-point simulation failure when non-nil
+	fit        *model.FitInfo        // attached to analytical answers when non-nil
 }
 
 func (s *stubPredictor) Scale() float64  { return 1 }
@@ -37,12 +40,16 @@ func (s *stubPredictor) FitCount() int   { return 1 }
 func (s *stubPredictor) CachedRuns() int { return 0 }
 
 func (s *stubPredictor) pred(spec machine.Spec, program string, class workload.Class, cores int, tier model.Tier) model.Prediction {
-	return model.Prediction{
+	p := model.Prediction{
 		Machine: spec.Name, Program: program, Class: class, Cores: cores, Scale: 1,
 		Omega: float64(cores) / 10, Cycles: float64(1000 + cores), BaselineCycles: 1000,
 		MakespanCycles: float64(1000+cores) / float64(cores),
 		Tier:           tier, ConfigHash: "stubhash",
 	}
+	if tier == model.TierAnalytical {
+		p.Fit = s.fit
+	}
+	return p
 }
 
 func (s *stubPredictor) Analytical(spec machine.Spec, program string, class workload.Class, cores int) (model.Prediction, model.DeclineReason) {
@@ -239,6 +246,81 @@ func TestCurveStreamingAnalyticalFirst(t *testing.T) {
 	}
 	if simFrames != 4 || summaries != 1 {
 		t.Errorf("post-gate frames: %d sim + %d summaries, want 4 + 1 terminal summary", simFrames, summaries)
+	}
+}
+
+// TestUnsaturatedFitEncoded pins the wire form of a fit with no
+// saturation point (SaturationCores = +Inf, which JSON cannot carry):
+// predict, the batched curve and the streamed curve summary all answer
+// with a decodable body that carries the fit and omits saturation_cores.
+func TestUnsaturatedFitEncoded(t *testing.T) {
+	stub := &stubPredictor{fit: &model.FitInfo{
+		Anchors: []int{1, 4, 5}, R2: 1, Residual: 0.01, SaturationCores: math.Inf(1),
+	}}
+	h := newStubServer(stub, 4).Handler()
+	const pair = `"machine":"IntelUMA8","program":"CG","class":"W"`
+
+	check := func(t *testing.T, w *httptest.ResponseRecorder) []byte {
+		t.Helper()
+		if w.Code != http.StatusOK {
+			t.Fatalf("status %d, body %q", w.Code, w.Body.String())
+		}
+		if bytes.Contains(w.Body.Bytes(), []byte("saturation_cores")) {
+			t.Errorf("body carries saturation_cores: %s", w.Body.String())
+		}
+		return w.Body.Bytes()
+	}
+	checkFit := func(t *testing.T, fit *api.Fit) {
+		t.Helper()
+		if fit == nil || len(fit.Anchors) != 3 || fit.SaturationCores != nil {
+			t.Errorf("fit = %+v, want the anchors and no saturation point", fit)
+		}
+	}
+
+	t.Run("predict", func(t *testing.T) {
+		req := httptest.NewRequest(http.MethodPost, api.PathPredict, strings.NewReader(`{`+pair+`,"cores":4}`))
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		var resp api.PredictResponse
+		if err := json.Unmarshal(check(t, w), &resp); err != nil {
+			t.Fatalf("undecodable predict body %q: %v", w.Body.String(), err)
+		}
+		checkFit(t, resp.Fit)
+	})
+	t.Run("curve", func(t *testing.T) {
+		w := postCurve(t, h, `{`+pair+`,"cores":[1,2]}`)
+		check(t, w)
+		checkFit(t, decodeCurve(t, w).Summary.Fit)
+	})
+	t.Run("curve-ndjson", func(t *testing.T) {
+		req := httptest.NewRequest(http.MethodPost, api.PathCurve, strings.NewReader(`{`+pair+`,"cores":[1,2]}`))
+		req.Header.Set("Accept", api.ContentTypeNDJSON)
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		lines := bytes.Split(bytes.TrimSpace(check(t, w)), []byte("\n"))
+		var last api.CurveFrame
+		if err := json.Unmarshal(lines[len(lines)-1], &last); err != nil || last.Summary == nil {
+			t.Fatalf("last frame %q is not a summary: %v", lines[len(lines)-1], err)
+		}
+		if len(lines) != 3 {
+			t.Errorf("%d frames, want 2 points + summary", len(lines))
+		}
+		checkFit(t, last.Summary.Fit)
+	})
+}
+
+// TestWriteJSONEncodeFailure verifies that a body JSON cannot encode
+// becomes a 500 carrying an api.Error, not a 200 with an empty body.
+func TestWriteJSONEncodeFailure(t *testing.T) {
+	s := newStubServer(&stubPredictor{}, 4)
+	w := httptest.NewRecorder()
+	s.writeJSON(w, http.StatusOK, map[string]float64{"x": math.Inf(1)})
+	if w.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", w.Code)
+	}
+	var e api.Error
+	if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || e.Error == "" {
+		t.Fatalf("body %q is not an api.Error: %v", w.Body.String(), err)
 	}
 }
 

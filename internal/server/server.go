@@ -174,22 +174,11 @@ type httpError struct {
 // bracket it in a span and route the error itself.
 func (s *Server) parsePredict(r *http.Request) (predictParams, *httpError) {
 	var p predictParams
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&p.req); err != nil {
-		return p, &httpError{http.StatusBadRequest, fmt.Sprintf("invalid request body: %v", err)}
-	}
-	spec, err := machine.ByName(p.req.Machine)
-	if err != nil {
-		return p, &httpError{http.StatusBadRequest, err.Error()}
-	}
-	p.spec = spec
-	if err := validateWorkload(p.req.Program, p.req.Class); err != nil {
-		return p, &httpError{http.StatusBadRequest, err.Error()}
-	}
-	if herr := s.checkScale(p.req.Scale); herr != nil {
+	spec, herr := s.parseRequest(r, &p.req, &p.req.Machine, &p.req.Program, &p.req.Class, &p.req.Scale)
+	if herr != nil {
 		return p, herr
 	}
+	p.spec = spec
 	p.cores = p.req.Cores
 	if p.cores == 0 {
 		p.cores = spec.TotalCores()
@@ -203,15 +192,30 @@ func (s *Server) parsePredict(r *http.Request) (predictParams, *httpError) {
 	return p, nil
 }
 
-// checkScale rejects a request naming a different fidelity than this
-// instance simulates at (zero means "whatever the server runs").
-func (s *Server) checkScale(scale float64) *httpError {
-	if scale != 0 && scale != s.pred.Scale() {
-		return &httpError{http.StatusBadRequest, fmt.Sprintf(
-			"this instance simulates at scale %g, not %g; run one simserved per fidelity (see docs/SERVER.md)",
-			s.pred.Scale(), scale)}
+// parseRequest decodes a predict or curve body into req, rejecting
+// unknown fields, and validates what both requests name: the machine
+// preset, the program/class pair, and the scale, which must be zero
+// ("whatever the server runs") or this instance's fidelity. The field
+// pointers address fields of req and are read after decoding.
+func (s *Server) parseRequest(r *http.Request, req any, machineName, program, class *string, scale *float64) (machine.Spec, *httpError) {
+	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(req); err != nil {
+		return machine.Spec{}, &httpError{http.StatusBadRequest, fmt.Sprintf("invalid request body: %v", err)}
 	}
-	return nil
+	spec, err := machine.ByName(*machineName)
+	if err != nil {
+		return machine.Spec{}, &httpError{http.StatusBadRequest, err.Error()}
+	}
+	if err := validateWorkload(*program, *class); err != nil {
+		return machine.Spec{}, &httpError{http.StatusBadRequest, err.Error()}
+	}
+	if *scale != 0 && *scale != s.pred.Scale() {
+		return machine.Spec{}, &httpError{http.StatusBadRequest, fmt.Sprintf(
+			"this instance simulates at scale %g, not %g; run one simserved per fidelity (see docs/SERVER.md)",
+			s.pred.Scale(), *scale)}
+	}
+	return spec, nil
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
@@ -405,16 +409,21 @@ func (s *Server) respond(w http.ResponseWriter, rt *requestTrace, pred model.Pre
 }
 
 // fitBody converts a model fit summary to its wire form (nil for nil).
+// A fit that never saturates has SaturationCores = +Inf, which JSON
+// cannot carry, so the field is left out.
 func fitBody(fi *model.FitInfo) *api.Fit {
 	if fi == nil {
 		return nil
 	}
-	return &api.Fit{
-		Anchors:         fi.Anchors,
-		R2:              fi.R2,
-		Residual:        fi.Residual,
-		SaturationCores: fi.SaturationCores,
+	fit := &api.Fit{
+		Anchors:  fi.Anchors,
+		R2:       fi.R2,
+		Residual: fi.Residual,
 	}
+	if sat := fi.SaturationCores; !math.IsInf(sat, 0) && !math.IsNaN(sat) {
+		fit.SaturationCores = &sat
+	}
+	return fit
 }
 
 // validateWorkload checks program and class against the registry without
@@ -505,10 +514,19 @@ func (s *Server) fail(w http.ResponseWriter, status int, msg string) {
 	s.writeJSON(w, status, api.Error{Error: msg})
 }
 
-// writeJSON writes any body as JSON with the given status.
+// writeJSON writes any body as JSON with the given status. The body is
+// encoded before the status is committed, so a body JSON cannot carry
+// (a NaN or an infinity) becomes a 500 with an api.Error instead of a
+// 200 with an empty body.
 func (s *Server) writeJSON(w http.ResponseWriter, status int, body any) {
+	data, err := json.Marshal(body)
+	if err != nil {
+		s.metrics.Counter("simserved_errors_total").Inc()
+		status = http.StatusInternalServerError
+		data, _ = json.Marshal(api.Error{Error: "encode response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", api.ContentTypeJSON)
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(body)
+	_, _ = w.Write(data)
+	_, _ = io.WriteString(w, "\n") // json.Encoder's line ending
 }
