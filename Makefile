@@ -11,8 +11,9 @@ GOVULNCHECK_VERSION ?= v1.1.4
 .PHONY: check build vet lint lint-allows lint-extra test short race perfbench-check microbench artifacts-fast serve serve-smoke load-smoke trace-smoke docs-check clean
 
 ## check: the tier-1 gate — vet, lint (simcheck), the allow-directive
-## audit, build, race-enabled tests, and the benchmark module.
-check: vet lint lint-allows build race perfbench-check
+## audit, the docs' shell examples, build, race-enabled tests, and the
+## benchmark module.
+check: vet lint lint-allows docs-check build race perfbench-check
 
 build:
 	$(GO) build ./...

@@ -55,13 +55,7 @@ func main() {
 		fatal(err)
 	}
 	threads := spec.TotalCores()
-	cfg, err := sim.NewConfig(spec,
-		sim.WithThreads(threads),
-		sim.WithCores(threads),
-		sim.WithMissHook(s.Hook()))
-	if err != nil {
-		fatal(err)
-	}
+	cfg := sim.Config{Spec: spec, Threads: threads, Cores: threads, MissHook: s.Hook()}
 	ctx, stopSignals := cli.SignalContext(context.Background())
 	defer stopSignals()
 	res, err := sim.Run(ctx, cfg, wl.Streams(threads))

@@ -75,11 +75,12 @@ func main() {
 	if nCores == 0 {
 		nCores = spec.TotalCores()
 	}
-	opts := []sim.Option{
-		sim.WithThreads(nThreads),
-		sim.WithCores(nCores),
-		sim.WithPlacement(place),
-		sim.WithCoherence(*coherence),
+	cfg := sim.Config{
+		Spec:      spec,
+		Threads:   nThreads,
+		Cores:     nCores,
+		Placement: place,
+		Coherence: *coherence,
 	}
 
 	var reg *telemetry.Registry
@@ -93,16 +94,11 @@ func main() {
 		}
 		defer traceFile.Close()
 		reg = telemetry.NewRegistry()
-		opts = append(opts, sim.WithObserve(&sim.ObserveConfig{
+		cfg.Observe = &sim.ObserveConfig{
 			Interval: *interval,
 			Tracer:   telemetry.NewTracer(traceFile),
 			Registry: reg,
-		}))
-	}
-
-	cfg, err := sim.NewConfig(spec, opts...)
-	if err != nil {
-		fatal(err)
+		}
 	}
 
 	ctx, stopSignals := cli.SignalContext(context.Background())

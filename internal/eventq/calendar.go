@@ -286,12 +286,6 @@ func (q *Queue) RunUntil(t uint64) {
 	}
 }
 
-// RunWhile executes events while cond() returns true and events remain.
-func (q *Queue) RunWhile(cond func() bool) {
-	for cond() && q.Step() {
-	}
-}
-
 // RunChecked executes events until the queue is empty, consulting cont
 // every `every` dispatched events and stopping when it returns false.
 func (q *Queue) RunChecked(every uint64, cont func() bool) {

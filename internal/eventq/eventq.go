@@ -14,8 +14,8 @@
 //     near-monotonic timestamps. Insert and pop are amortized O(1) and the
 //     steady state allocates nothing.
 //   - HeapQueue, a classic binary heap: O(log n) operations, simple and
-//     distribution-independent. It is the fallback and the differential-test
-//     oracle for the calendar queue.
+//     distribution-independent. It is the differential-test oracle for the
+//     calendar queue; the simulator always runs the calendar queue.
 package eventq
 
 // event is one scheduled callback. seq breaks same-time ties in FIFO
@@ -58,8 +58,6 @@ type Interface interface {
 	Run()
 	// RunUntil executes events with time <= t, then advances the clock to t.
 	RunUntil(t uint64)
-	// RunWhile executes events while cond() returns true and events remain.
-	RunWhile(cond func() bool)
 	// RunChecked executes events until the queue is empty, invoking cont
 	// after every `every` dispatched events and stopping early when it
 	// returns false. It is the cancellation-aware run loop: the caller's
@@ -80,7 +78,7 @@ type Kind uint8
 const (
 	// Calendar is the bucket queue (the default).
 	Calendar Kind = iota
-	// Heap is the binary-heap fallback and differential-test oracle.
+	// Heap is the binary-heap differential-test oracle.
 	Heap
 )
 

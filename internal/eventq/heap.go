@@ -112,12 +112,6 @@ func (q *HeapQueue) RunUntil(t uint64) {
 	}
 }
 
-// RunWhile executes events while cond() returns true and events remain.
-func (q *HeapQueue) RunWhile(cond func() bool) {
-	for cond() && q.Step() {
-	}
-}
-
 // RunChecked executes events until the queue is empty, consulting cont
 // every `every` dispatched events and stopping when it returns false.
 func (q *HeapQueue) RunChecked(every uint64, cont func() bool) {

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -188,21 +189,10 @@ func TestMidSweepCancelThenResume(t *testing.T) {
 // runs re-simulate to the same results.
 func TestJournalCorruptLineSkipped(t *testing.T) {
 	spec := machine.IntelUMA8()
-	dir := t.TempDir()
-	journalPath := filepath.Join(dir, "sweep.journal")
+	journalPath := filepath.Join(t.TempDir(), "sweep.journal")
 
 	// Build a complete journal of three runs.
-	r1 := NewRunner(quickTune)
-	if _, _, err := r1.AttachJournal(journalPath); err != nil {
-		t.Fatal(err)
-	}
-	want, err := r1.Sweep(context.Background(), spec, "CG", workload.W, []int{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r1.CloseJournal(); err != nil {
-		t.Fatal(err)
-	}
+	_, _, _, want := journaledSweep(t, journalPath, []int{1, 2, 3})
 
 	// Damage it: corrupt the middle entry, truncate the final one
 	// mid-line (what a kill during the last append leaves behind).
@@ -247,6 +237,54 @@ func TestJournalCorruptLineSkipped(t *testing.T) {
 	if err := r2.CloseJournal(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestJournalTornTailNotGlued pins torn-tail recovery across two resumes:
+// a journal whose last line lost its tail (no newline) must not swallow
+// the first run appended after the resume, so the next resume replays
+// every run and simulates nothing.
+func TestJournalTornTailNotGlued(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sweep.journal")
+	journaledSweep(t, path, []int{1, 2})
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data[:len(data)-40], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	resumed, skipped, _, want := journaledSweep(t, path, []int{1, 2, 3})
+	if resumed != 1 || skipped != 1 {
+		t.Fatalf("first resume: resumed=%d skipped=%d, want 1/1", resumed, skipped)
+	}
+	resumed, _, simulated, got := journaledSweep(t, path, []int{1, 2, 3})
+	if resumed != 3 || simulated != 0 {
+		t.Errorf("second resume: resumed=%d simulated=%d, want 3/0", resumed, simulated)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("resumed sweep diverged:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// journaledSweep sweeps IntelUMA8 CG.W over counts on a fresh runner
+// attached to the journal at path. It returns what the attach resumed and
+// skipped, how many runs the sweep simulated, and the measurements.
+func journaledSweep(t *testing.T, path string, counts []int) (resumed, skipped, simulated int, meas []core.Measurement) {
+	t.Helper()
+	r := NewRunner(quickTune)
+	resumed, skipped, err := r.AttachJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if meas, err = r.Sweep(context.Background(), machine.IntelUMA8(), "CG", workload.W, counts); err != nil {
+		t.Fatal(err)
+	}
+	simulated, _ = r.Completed()
+	if err := r.CloseJournal(); err != nil {
+		t.Fatal(err)
+	}
+	return resumed, skipped, simulated, meas
 }
 
 // TestJournalWriteFailureNonFatal injects journal append failures and

@@ -30,8 +30,10 @@ import (
 // so concurrent workers never interleave bytes and a kill can only ever
 // truncate the final line. A truncated or corrupt line fails JSON
 // parsing on load and is skipped with a warning — that run is simply
-// re-simulated. A version-mismatched journal is discarded and restarted
-// rather than resumed, so stale results can never leak into artifacts.
+// re-simulated. Attaching terminates a torn final line before the first
+// new append, so the fragment never swallows the next run. A
+// version-mismatched journal is discarded and restarted rather than
+// resumed, so stale results can never leak into artifacts.
 // The header must be exactly {"version":N}: any other first line, such as
 // a whole-cache JSON blob, counts as a stale version.
 
@@ -96,6 +98,14 @@ func (r *Runner) AttachJournal(path string) (resumed, skipped int, err error) {
 		if _, err := f.Write(append(header, '\n')); err != nil {
 			f.Close()
 			return 0, 0, fmt.Errorf("experiments: journal header: %w", err)
+		}
+	} else if data[len(data)-1] != '\n' {
+		// A torn final line (a kill or a failed write mid-append) has no
+		// newline; terminate it so the next append starts a line of its
+		// own instead of being glued onto the fragment.
+		if _, err := f.Write([]byte{'\n'}); err != nil {
+			f.Close()
+			return 0, 0, fmt.Errorf("experiments: journal torn tail: %w", err)
 		}
 	}
 

@@ -601,15 +601,6 @@ func (r *Runner) CacheLen() int {
 	return len(r.cache)
 }
 
-// Measure converts a run into a model measurement.
-func (r *Runner) Measure(ctx context.Context, spec machine.Spec, program string, class workload.Class, cores int) (core.Measurement, error) {
-	res, err := r.Run(ctx, spec, program, class, cores)
-	if err != nil {
-		return core.Measurement{}, err
-	}
-	return measurementOf(cores, res), nil
-}
-
 func measurementOf(cores int, res sim.Result) core.Measurement {
 	return core.Measurement{
 		Cores:     cores,

@@ -142,8 +142,6 @@ type Predictor struct {
 	// anchors. Zero means DefaultMaxResidual; values >= 1e9 effectively
 	// disable the check.
 	MaxResidual float64
-	// Opts tunes the core.Fit regression (e.g. Homogeneous).
-	Opts core.Options
 	// Tracer, when non-nil, receives model.fit and model.decline events.
 	Tracer *telemetry.Tracer
 	// Metrics, when non-nil, counts fits (model_fits_total) and declines
@@ -470,7 +468,7 @@ func (p *Predictor) refitFromCache(ctx context.Context, spec machine.Spec, progr
 // confidence stats and stores the entry.
 func (p *Predictor) fit(spec machine.Spec, program string, class workload.Class, plan []int, meas []core.Measurement) (FitInfo, error) {
 	kind := experiments.ModelKindFor(spec)
-	m, err := core.Fit(kind, spec.Sockets, spec.CoresPerSocket, meas, p.Opts)
+	m, err := core.Fit(kind, spec.Sockets, spec.CoresPerSocket, meas, core.Options{})
 	if err != nil {
 		return FitInfo{}, err
 	}

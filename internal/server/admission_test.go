@@ -96,7 +96,7 @@ func TestTenantFairness(t *testing.T) {
 	p := model.New(r)
 	p.MinR2 = -1
 	p.MaxResidual = 1e9
-	s := New(Config{Predictor: p, MaxQueue: 4, MaxPerTenant: 2, Metrics: telemetry.NewRegistry()})
+	s := New(Config{Predictor: p, MaxQueue: 4, Metrics: telemetry.NewRegistry()})
 	h := s.Handler()
 
 	type result struct {

@@ -71,13 +71,10 @@ type Config struct {
 	// *model.Predictor).
 	Predictor Predictor
 	// MaxQueue bounds simulation-tier admission (queued + running)
-	// instance-wide. Zero means DefaultMaxQueue.
+	// instance-wide. Zero means DefaultMaxQueue. Any one tenant
+	// (api.HeaderTenant) may hold at most half of it (rounded up), so no
+	// single tenant can starve the simulation tier.
 	MaxQueue int
-	// MaxPerTenant bounds the admission tokens any one tenant
-	// (api.HeaderTenant) may hold at once. Zero means half of MaxQueue
-	// (rounded up), so no single tenant can starve the simulation tier;
-	// values are clamped into [1, MaxQueue].
-	MaxPerTenant int
 	// Metrics receives request/queue/tier metrics and is served at
 	// /metrics. Nil creates a private registry (still served).
 	Metrics *telemetry.Registry
@@ -117,10 +114,6 @@ func New(cfg Config) *Server {
 	if maxQueue <= 0 {
 		maxQueue = DefaultMaxQueue
 	}
-	perTenant := cfg.MaxPerTenant
-	if perTenant <= 0 {
-		perTenant = (maxQueue + 1) / 2
-	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = telemetry.NewRegistry()
@@ -129,7 +122,7 @@ func New(cfg Config) *Server {
 		pred:        cfg.Predictor,
 		metrics:     reg,
 		tracer:      cfg.Tracer,
-		adm:         newAdmitter(maxQueue, perTenant),
+		adm:         newAdmitter(maxQueue, (maxQueue+1)/2),
 		simLatencyS: 1,
 	}
 }

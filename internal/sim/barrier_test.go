@@ -85,7 +85,7 @@ func TestBarrierWithOversubscription(t *testing.T) {
 	for i := range streams {
 		streams[i] = barrierStream(uint64(i)<<22, 8, 200)
 	}
-	res, err := Run(context.Background(), Config{Spec: spec, Threads: 4, Cores: 1, Quantum: 100000}, streams)
+	res, err := Run(context.Background(), Config{Spec: spec, Threads: 4, Cores: 1, quantum: 100000}, streams)
 	if err != nil {
 		t.Fatal(err)
 	}

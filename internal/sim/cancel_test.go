@@ -6,19 +6,18 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/eventq"
 	"repro/internal/telemetry"
 )
 
 // TestRunCanceled verifies the typed cancellation error and its partial
 // counters: a context canceled before the run ends stops the event loop
-// within CancelEvery events of the first check and reports everything
+// within cancelEvery events of the first check and reports everything
 // measured so far.
 func TestRunCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // canceled before the run even starts
 	const every = 64
-	_, err := Run(ctx, Config{Spec: testSpec(), Threads: 2, Cores: 2, CancelEvery: every},
+	_, err := Run(ctx, Config{Spec: testSpec(), Threads: 2, Cores: 2, cancelEvery: every},
 		memBoundStreams(2, 5000))
 	if err == nil {
 		t.Fatal("canceled run returned nil error")
@@ -34,7 +33,7 @@ func TestRunCanceled(t *testing.T) {
 		t.Fatalf("err is %T, want *CanceledError", err)
 	}
 	// Bounded latency: the context was canceled before the first event, so
-	// the loop must stop at the very first check — after exactly CancelEvery
+	// the loop must stop at the very first check — after exactly cancelEvery
 	// dispatched events.
 	if ce.Partial.Events == 0 || ce.Partial.Events > every {
 		t.Errorf("partial events = %d, want 1..%d (cancellation latency bound)", ce.Partial.Events, every)
@@ -55,7 +54,7 @@ func TestRunCanceledObserved(t *testing.T) {
 	var buf strings.Builder
 	tracer := telemetry.NewTracer(&buf)
 	_, err := Run(ctx, Config{
-		Spec: testSpec(), Threads: 2, Cores: 2, CancelEvery: 64,
+		Spec: testSpec(), Threads: 2, Cores: 2, cancelEvery: 64,
 		Observe: &ObserveConfig{Interval: 500, Tracer: tracer},
 	}, memBoundStreams(2, 5000))
 	if !errors.Is(err, ErrCanceled) {
@@ -97,7 +96,7 @@ func TestCancellationDoesNotPerturbCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checked, err := Run(ctx, Config{Spec: testSpec(), Threads: 4, Cores: 2, CancelEvery: 8},
+	checked, err := Run(ctx, Config{Spec: testSpec(), Threads: 4, Cores: 2, cancelEvery: 8},
 		memBoundStreams(4, 200))
 	if err != nil {
 		t.Fatal(err)
@@ -108,30 +107,18 @@ func TestCancellationDoesNotPerturbCounters(t *testing.T) {
 	}
 }
 
-// TestNewConfigOptions verifies the functional-options constructor and
-// that validation reports every invalid field at once.
-func TestNewConfigOptions(t *testing.T) {
+// TestRunReportsEveryInvalidField pins the ConfigError contract: Run
+// reports every invalid field at once, not just the first. Three fields
+// are set wrong; the nil stream slice cannot match Threads -1, so the
+// Streams pseudo-field is reported alongside them.
+func TestRunReportsEveryInvalidField(t *testing.T) {
 	spec := testSpec()
-	cfg, err := NewConfig(spec,
-		WithThreads(4), WithCores(2), WithQuantum(1000),
-		WithEventQueue(eventq.Heap), WithCancelEvery(128))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Threads != 4 || cfg.Cores != 2 || cfg.Quantum != 1000 ||
-		cfg.EventQueue != eventq.Heap || cfg.CancelEvery != 128 {
-		t.Errorf("options not applied: %+v", cfg)
-	}
-	// Defaults fill untouched fields.
-	if cfg.BatchLimit == 0 || cfg.PageBytes == 0 {
-		t.Errorf("defaults not applied: %+v", cfg)
-	}
-
-	// Three invalid fields must all be reported together.
-	_, err = NewConfig(spec,
-		WithThreads(-1),
-		WithCores(spec.TotalCores()+5),
-		WithPlacement(Placement(99)))
+	_, err := Run(context.Background(), Config{
+		Spec:      spec,
+		Threads:   -1,
+		Cores:     spec.TotalCores() + 5,
+		Placement: Placement(99),
+	}, nil)
 	if err == nil {
 		t.Fatal("invalid config accepted")
 	}
@@ -142,20 +129,12 @@ func TestNewConfigOptions(t *testing.T) {
 	if !errors.As(err, &ce) {
 		t.Fatalf("err is %T, want *ConfigError", err)
 	}
-	if len(ce.Fields) != 3 {
-		t.Fatalf("reported %d invalid fields, want 3: %v", len(ce.Fields), err)
-	}
-	want := map[string]bool{"Threads": false, "Cores": false, "Placement": false}
+	var fields []string
 	for _, f := range ce.Fields {
-		if _, ok := want[f.Field]; !ok {
-			t.Errorf("unexpected field %q in %v", f.Field, err)
-		}
-		want[f.Field] = true
+		fields = append(fields, f.Field)
 	}
-	for name, seen := range want {
-		if !seen {
-			t.Errorf("field %q not reported in %v", name, err)
-		}
+	if got, want := strings.Join(fields, ","), "Threads,Cores,Placement,Streams"; got != want {
+		t.Errorf("reported fields %s, want %s: %v", got, want, err)
 	}
 }
 

@@ -103,7 +103,7 @@ func newEngine(cfg Config, m *machine.Machine, q eventq.Interface) *engine {
 		cc := &core{
 			id:          c,
 			socket:      cfg.Spec.SocketOf(c),
-			quantumLeft: cfg.Quantum,
+			quantumLeft: cfg.quantum,
 		}
 		cc.stepFn = func() {
 			cc.stepQueued = false
@@ -208,7 +208,7 @@ func (e *engine) step(c *core) {
 	var advance uint64
 	refs := 0
 	for {
-		if advance >= e.cfg.BatchLimit || refs >= 8192 {
+		if advance >= batchLimit || refs >= 8192 {
 			break
 		}
 		ref, ok := th.stream.Next()
@@ -219,7 +219,7 @@ func (e *engine) step(c *core) {
 			// A finished thread counts as arrived at every remaining
 			// barrier; waiters may now be releasable.
 			e.q.After(advance, e.recheckFn)
-			c.rotate(e.cfg.Quantum)
+			c.rotate(e.cfg.quantum)
 			break
 		}
 		refs++
@@ -296,7 +296,7 @@ func (e *engine) coreBusy(c *core) bool {
 //simcheck:hotpath
 func (e *engine) chargeQuantum(c *core, advance uint64) {
 	if advance >= c.quantumLeft {
-		c.rotate(e.cfg.Quantum)
+		c.rotate(e.cfg.quantum)
 	} else {
 		c.quantumLeft -= advance
 	}
@@ -344,7 +344,7 @@ func (e *engine) arriveBarrier(c *core, th *thread) {
 	th.atBarrier = true
 	th.blockStart = e.q.Now()
 	// Yield: another thread pinned to this core may run meanwhile.
-	c.rotate(e.cfg.Quantum)
+	c.rotate(e.cfg.quantum)
 	e.scheduleStep(c, 0)
 }
 
@@ -584,7 +584,7 @@ func (e *engine) unblock(c *core, th *thread) {
 // homeMC returns the controller owning addr's page, assigning it per the
 // placement policy on first touch.
 func (e *engine) homeMC(addr uint64, c *core) int {
-	page := addr / e.cfg.PageBytes
+	page := addr / pageBytes
 	if home, ok := e.pageHome[page]; ok {
 		return home
 	}

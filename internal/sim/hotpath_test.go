@@ -54,19 +54,19 @@ func TestCalendarHeapIdenticalResults(t *testing.T) {
 	}{
 		{"numa", func() Config { return Config{Spec: testSpec(), Threads: 4, Cores: 4} }},
 		{"uma-bus", func() Config { return Config{Spec: umaSpec(), Threads: 4, Cores: 2} }},
-		{"oversubscribed", func() Config { return Config{Spec: testSpec(), Threads: 8, Cores: 2, Quantum: 500} }},
+		{"oversubscribed", func() Config { return Config{Spec: testSpec(), Threads: 8, Cores: 2, quantum: 500} }},
 		{"interleave", func() Config { return Config{Spec: testSpec(), Threads: 4, Cores: 4, Placement: Interleave} }},
 	} {
 		t.Run(spec.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 5; seed++ {
 				cal := spec.mk()
-				cal.EventQueue = eventq.Calendar
+				cal.queue = eventq.Calendar
 				resCal, err := Run(context.Background(), cal, randomStreams(seed, cal.Threads, 3000))
 				if err != nil {
 					t.Fatal(err)
 				}
 				hp := spec.mk()
-				hp.EventQueue = eventq.Heap
+				hp.queue = eventq.Heap
 				resHeap, err := Run(context.Background(), hp, randomStreams(seed, hp.Threads, 3000))
 				if err != nil {
 					t.Fatal(err)

@@ -71,23 +71,12 @@ type Config struct {
 	// Cores is the number of active cores, activated fill-processor-first;
 	// 0 defaults to all cores.
 	Cores int
-	// Quantum is the round-robin time slice in cycles for oversubscribed
-	// cores; 0 defaults to 50000.
-	Quantum uint64
-	// BatchLimit bounds how many cycles a core may advance per simulation
-	// event while executing cache hits; 0 defaults to 2000.
-	BatchLimit uint64
-	// PageBytes is the placement granularity; 0 defaults to 4096.
-	PageBytes uint64
 	// Placement selects the page-placement policy.
 	Placement Placement
 	// MissHook, when non-nil, is invoked at every off-chip request with the
 	// simulated issue time and the issuing core (used by the burstiness
 	// sampler).
 	MissHook func(now uint64, core int)
-	// MaxCycles aborts the run when the simulated clock passes it; 0 means
-	// unlimited.
-	MaxCycles uint64
 	// Coherence enables the MESI-style invalidation directory: a store to
 	// a line cached by another socket invalidates the remote copies, so
 	// true- and false-sharing produce real coherence misses. Off by
@@ -95,19 +84,6 @@ type Config struct {
 	// synthetically (see internal/workload), which stays accurate without
 	// the directory's memory overhead.
 	Coherence bool
-	// EventQueue selects the discrete-event queue implementation. The
-	// default (eventq.Calendar) is the fast bucket queue; eventq.Heap is
-	// the binary-heap oracle used by differential and golden tests. Both
-	// dispatch events in the identical deterministic order, so results do
-	// not depend on this choice.
-	EventQueue eventq.Kind
-	// CancelEvery is the cancellation-check period: Run polls ctx.Done()
-	// every CancelEvery dispatched events, so a cancellation is honored
-	// within that many events. 0 defaults to DefaultCancelEvery. The check
-	// is a prebuilt non-blocking channel receive, so the event loop stays
-	// allocation-free (pinned by TestZeroAllocSteadyState in
-	// internal/eventq).
-	CancelEvery uint64
 	// Observe, when non-nil, attaches the in-run telemetry layer: a
 	// simulated-time sampler (utilization, queue occupancy, in-flight
 	// requests, per-core stall fraction as time series on
@@ -118,7 +94,24 @@ type Config struct {
 	// every counter in Result is identical with and without it (only
 	// Result.Events grows by the dispatched sample events).
 	Observe *ObserveConfig
+
+	// Package-internal knobs, set only by this package's tests; the zero
+	// values select the production defaults.
+	queue       eventq.Kind // eventq.Heap is the differential-test oracle
+	quantum     uint64      // round-robin time slice; 0 means defaultQuantum
+	cancelEvery uint64      // ctx.Done() poll period; 0 means DefaultCancelEvery
 }
+
+const (
+	// defaultQuantum is the round-robin time slice in cycles for
+	// oversubscribed cores.
+	defaultQuantum = 50000
+	// batchLimit bounds how many cycles a core may advance per simulation
+	// event while executing cache hits.
+	batchLimit = 2000
+	// pageBytes is the NUMA page-placement granularity.
+	pageBytes = 4096
+)
 
 // ThreadStats are the per-thread counters.
 type ThreadStats struct {
@@ -197,12 +190,13 @@ type Result struct {
 	MCStats []memctrl.Stats
 	// BusStats has one entry per UMA bus (empty for NUMA machines).
 	BusStats []memctrl.Stats
-	// Aborted reports that MaxCycles was reached before completion.
+	// Aborted reports that the run stopped before every thread finished
+	// (set on a canceled run's partial result).
 	Aborted bool
 }
 
 // DefaultCancelEvery is the default cancellation-check period in events:
-// the cadence at which Run polls ctx.Done() when CancelEvery is zero.
+// the cadence at which Run polls ctx.Done().
 const DefaultCancelEvery = 4096
 
 // ErrCanceled is the sentinel a canceled run matches via errors.Is. The
@@ -241,7 +235,7 @@ func (e *CanceledError) Unwrap() error { return e.cause }
 // returns the measured counters.
 //
 // Run honors ctx: the event loop polls ctx.Done() every
-// Config.CancelEvery dispatched events (a prebuilt non-blocking receive,
+// DefaultCancelEvery dispatched events (a prebuilt non-blocking receive,
 // so the hot path stays allocation-free), and on cancellation drains the
 // queue — releasing pooled callbacks — and returns a *CanceledError
 // carrying the partial counters. Use context.Background() for an
@@ -255,7 +249,7 @@ func Run(ctx context.Context, cfg Config, streams []trace.Stream) (Result, error
 		return Result{}, err
 	}
 
-	q := eventq.New(cfg.EventQueue)
+	q := eventq.New(cfg.queue)
 	m, err := machine.Build(cfg.Spec, q)
 	if err != nil {
 		return Result{}, err
@@ -299,23 +293,9 @@ func Run(ctx context.Context, cfg Config, streams []trace.Stream) (Result, error
 
 	switch {
 	case obs != nil:
-		canceled = !obs.drive(cfg.MaxCycles, cfg.CancelEvery, done, check)
-	case cfg.MaxCycles > 0:
-		var n uint64
-		q.RunWhile(func() bool {
-			if q.Now() >= cfg.MaxCycles {
-				return false
-			}
-			if done != nil {
-				if n++; n >= cfg.CancelEvery {
-					n = 0
-					return check()
-				}
-			}
-			return true
-		})
+		canceled = !obs.drive(cfg.cancelEvery, done, check)
 	case done != nil:
-		q.RunChecked(cfg.CancelEvery, check)
+		q.RunChecked(cfg.cancelEvery, check)
 	default:
 		q.Run()
 	}

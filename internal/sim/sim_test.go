@@ -264,7 +264,7 @@ func TestOversubscriptionCompletes(t *testing.T) {
 	// 4 threads on 1 core: round-robin multiplexing must finish all threads
 	// and count each thread's misses.
 	spec := testSpec()
-	res, err := Run(context.Background(), Config{Spec: spec, Threads: 4, Cores: 1, Quantum: 500}, memBoundStreams(4, 50))
+	res, err := Run(context.Background(), Config{Spec: spec, Threads: 4, Cores: 1, quantum: 500}, memBoundStreams(4, 50))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,18 +298,6 @@ func TestUMABusPath(t *testing.T) {
 	}
 	if res.MCStats[0].Requests != res.OffChipRequests {
 		t.Errorf("MC served %d of %d requests", res.MCStats[0].Requests, res.OffChipRequests)
-	}
-}
-
-func TestMaxCyclesAborts(t *testing.T) {
-	spec := testSpec()
-	res, err := Run(context.Background(), Config{Spec: spec, Threads: 1, Cores: 1, MaxCycles: 100},
-		singleStream(trace.Collect(trace.StrideSpec{Stride: 4096, Count: 100000, Dep: true, Work: 1}.Stream(), 0)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Aborted {
-		t.Error("run should abort at MaxCycles")
 	}
 }
 
