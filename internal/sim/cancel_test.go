@@ -3,10 +3,14 @@ package sim
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/machine"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // TestRunCanceled verifies the typed cancellation error and its partial
@@ -148,5 +152,56 @@ func TestRunStreamMismatchError(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "Streams") {
 		t.Errorf("error does not name the Streams pseudo-field: %v", err)
+	}
+}
+
+// cancelAfter cancels a run's context from inside the run, once the
+// wrapped stream has handed out n references.
+type cancelAfter struct {
+	trace.Stream
+	n      int
+	cancel context.CancelFunc
+}
+
+func (c *cancelAfter) Next() (trace.Ref, bool) {
+	if c.n--; c.n == 0 {
+		c.cancel()
+	}
+	return c.Stream.Next()
+}
+
+// TestRunLeavesNoGoroutines pins that reference streams generate on the
+// caller's goroutine: a real workload run to completion, or canceled
+// midway with its streams half drained, leaves nothing running and
+// nothing to stop. The count may drop (a goroutine an earlier test
+// started can still be exiting), but it must not grow.
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	w, err := workload.New("CG", workload.W)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Spec: machine.IntelUMA8(), Threads: 8, Cores: 8}
+	before := runtime.NumGoroutine()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	streams := w.Streams(8)
+	streams[0] = &cancelAfter{Stream: streams[0], n: 5000, cancel: cancel}
+	if _, err := Run(ctx, cfg, streams); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("mid-run cancel: err = %v, want ErrCanceled", err)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("after a canceled run: %d goroutines, want at most %d", n, before)
+	}
+
+	res, err := Run(context.Background(), cfg, w.Streams(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Aborted || res.Events == 0 {
+		t.Errorf("complete run: aborted=%v events=%d", res.Aborted, res.Events)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("after a complete run: %d goroutines, want at most %d", n, before)
 	}
 }

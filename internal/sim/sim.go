@@ -299,7 +299,6 @@ func Run(ctx context.Context, cfg Config, streams []trace.Stream) (Result, error
 	default:
 		q.Run()
 	}
-	defer trace.StopAll(streams...)
 
 	if canceled {
 		dropped := q.Drain()

@@ -13,13 +13,14 @@ func BenchmarkStrideStream(b *testing.B) {
 	}
 }
 
-func BenchmarkGenStream(b *testing.B) {
-	s := Gen(func(emit func(Ref) bool) {
-		for i := uint64(0); ; i++ {
-			if !emit(Ref{Addr: i * 64, Work: 1}) {
-				return
-			}
+func BenchmarkFillStream(b *testing.B) {
+	next := uint64(0)
+	s := Fill(func(buf []Ref) ([]Ref, bool) {
+		for len(buf) < cap(buf)/2 {
+			buf = append(buf, Ref{Addr: next * 64, Work: 1})
+			next++
 		}
+		return buf, true
 	})
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -28,6 +29,4 @@ func BenchmarkGenStream(b *testing.B) {
 			b.Fatal("exhausted")
 		}
 	}
-	b.StopTimer()
-	StopAll(s)
 }

@@ -112,105 +112,46 @@ func Count(s Stream) int {
 	}
 }
 
-// Gen adapts a push-style generator function into a pull-style Stream using
-// a bounded buffer refilled on demand. The generator is invoked lazily in
-// chunks: gen receives an emit callback and must return when emit reports
-// false. This supports kernels whose access patterns are easiest to express
-// as straight-line code (e.g. nested loops over a grid).
-func Gen(gen func(emit func(Ref) bool)) Stream {
-	g := &genStream{
-		ch:   make(chan []Ref, 4),
-		stop: make(chan struct{}),
-	}
-	//simcheck:allow(detlint) generator goroutine hands chunks over a synchronized channel; the consumer sees refs in emit order regardless of scheduling
-	go func() {
-		defer close(g.ch)
-		buf := make([]Ref, 0, genChunk)
-		flush := func() bool {
-			if len(buf) == 0 {
-				return true
-			}
-			chunk := make([]Ref, len(buf))
-			copy(chunk, buf)
-			buf = buf[:0]
-			select {
-			case g.ch <- chunk:
-				return true
-			case <-g.stop:
-				return false
-			}
-		}
-		gen(func(r Ref) bool {
-			buf = append(buf, r)
-			if len(buf) == genChunk {
-				return flush()
-			}
-			select {
-			case <-g.stop:
-				return false
-			default:
-				return true
-			}
-		})
-		flush()
-	}()
-	return g
+// Fill returns a Stream that pulls references from fill in batches, with no
+// goroutine and no per-batch allocation. The stream owns one buffer of
+// fillCap references; whenever it is drained, Next hands it to fill with
+// length zero. fill appends the next batch and reports whether more batches
+// follow; a batch may be empty. fill may append past cap(buf): the stream
+// keeps the grown buffer for later batches, so a filler that appends whole
+// units and returns once its batch reaches half the capacity grows the
+// buffer only until it holds twice the filler's largest unit.
+func Fill(fill func(buf []Ref) ([]Ref, bool)) Stream {
+	return &fillStream{fill: fill, buf: make([]Ref, 0, fillCap), more: true}
 }
 
-const genChunk = 4096
+// fillCap is a Fill stream's buffer size in references (8 KB). Every
+// simulated thread holds one, and a refill costs one call per batch. On the
+// AMDNUMA48 CG.W panel (2-CPU Xeon, one run each) sweep time was 1.74-1.82 s
+// from 128 to 512, 1.92 s at 1024 and 2.01 s at 4096, and allocation grew
+// with the size. Half of 512 holds the largest unit any kernel appends (a
+// 256-ref fluidanimate row).
+const fillCap = 512
 
-type genStream struct {
-	ch    chan []Ref
-	stop  chan struct{}
-	chunk []Ref
-	pos   int
-	done  bool
+type fillStream struct {
+	fill func([]Ref) ([]Ref, bool)
+	buf  []Ref
+	pos  int
+	more bool
 }
 
-func (g *genStream) Next() (Ref, bool) {
-	for {
-		if g.pos < len(g.chunk) {
-			r := g.chunk[g.pos]
-			g.pos++
-			return r, true
-		}
-		if g.done {
+// Next is called once per simulated reference.
+//
+//simcheck:hotpath
+func (s *fillStream) Next() (Ref, bool) {
+	for s.pos == len(s.buf) {
+		if !s.more {
+			s.fill, s.buf, s.pos = nil, nil, 0 // release the kernel state
 			return Ref{}, false
 		}
-		chunk, ok := <-g.ch
-		if !ok {
-			g.done = true
-			return Ref{}, false
-		}
-		g.chunk, g.pos = chunk, 0
+		s.buf, s.more = s.fill(s.buf[:0])
+		s.pos = 0
 	}
-}
-
-// Stop terminates the backing generator goroutine of a Gen stream early.
-// It is safe to call multiple times and on fully drained streams.
-func (g *genStream) Stop() {
-	select {
-	case <-g.stop:
-	default:
-		close(g.stop)
-	}
-	// Drain so the producer is never blocked on send.
-	for range g.ch {
-	}
-	g.done = true
-	g.chunk = nil
-}
-
-// Stopper is implemented by streams holding background resources.
-type Stopper interface {
-	Stop()
-}
-
-// StopAll stops every stream that implements Stopper.
-func StopAll(streams ...Stream) {
-	for _, s := range streams {
-		if st, ok := s.(Stopper); ok {
-			st.Stop()
-		}
-	}
+	r := s.buf[s.pos]
+	s.pos++
+	return r, true
 }

@@ -56,54 +56,105 @@ func TestStrideAddresses(t *testing.T) {
 	}
 }
 
-func TestGenStream(t *testing.T) {
-	s := Gen(func(emit func(Ref) bool) {
-		for i := 0; i < 10000; i++ {
-			if !emit(Ref{Addr: uint64(i) * 64}) {
-				return
-			}
+// countFill returns a filler that appends n refs with consecutive
+// addresses, per batches of at most batch refs.
+func countFill(n, batch int) func([]Ref) ([]Ref, bool) {
+	next := 0
+	return func(buf []Ref) ([]Ref, bool) {
+		for k := 0; k < batch && next < n; k++ {
+			buf = append(buf, Ref{Addr: uint64(next) * 64})
+			next++
 		}
-	})
-	refs := Collect(s, 0)
+		return buf, next < n
+	}
+}
+
+func TestFillStream(t *testing.T) {
+	refs := Collect(Fill(countFill(10000, 300)), 0)
 	if len(refs) != 10000 {
-		t.Fatalf("gen produced %d refs", len(refs))
+		t.Fatalf("fill produced %d refs", len(refs))
 	}
 	for i, r := range refs {
 		if r.Addr != uint64(i)*64 {
-			t.Fatalf("gen ref %d addr %d", i, r.Addr)
+			t.Fatalf("fill ref %d addr %d", i, r.Addr)
 		}
 	}
 }
 
-func TestGenStreamStopEarly(t *testing.T) {
-	produced := make(chan int, 1)
-	s := Gen(func(emit func(Ref) bool) {
-		n := 0
-		for i := 0; i < 1_000_000; i++ {
-			if !emit(Ref{Addr: uint64(i)}) {
-				break
-			}
-			n++
+func TestFillEmptyBatchReportsMore(t *testing.T) {
+	calls := 0
+	s := Fill(func(buf []Ref) ([]Ref, bool) {
+		calls++
+		switch calls {
+		case 1, 2: // nothing yet, but more follows
+			return buf, true
+		case 3:
+			return append(buf, Ref{Addr: 7}), true
+		default:
+			return buf, false
 		}
-		produced <- n
 	})
-	// Consume a few then stop.
-	for i := 0; i < 10; i++ {
-		if _, ok := s.Next(); !ok {
-			t.Fatal("stream ended early")
+	r, ok := s.Next()
+	if !ok || r.Addr != 7 {
+		t.Fatalf("Next = %+v, %v; want the ref after two empty batches", r, ok)
+	}
+	if _, ok := s.Next(); ok {
+		t.Error("stream yielded a ref past its last batch")
+	}
+	if calls != 4 {
+		t.Errorf("fill called %d times, want 4", calls)
+	}
+}
+
+func TestFillFinalBatchCarriesRefs(t *testing.T) {
+	s := Fill(func(buf []Ref) ([]Ref, bool) {
+		return append(buf, Ref{Addr: 1}, Ref{Addr: 2}, Ref{Sync: true}), false
+	})
+	got := Collect(s, 0)
+	if len(got) != 3 || got[0].Addr != 1 || got[1].Addr != 2 || !got[2].Sync {
+		t.Fatalf("final batch delivered %+v", got)
+	}
+}
+
+func TestFillExhaustedStaysExhausted(t *testing.T) {
+	calls := 0
+	fill := countFill(5, 5)
+	s := Fill(func(buf []Ref) ([]Ref, bool) {
+		calls++
+		return fill(buf)
+	})
+	if n := Count(s); n != 5 {
+		t.Fatalf("Count = %d, want 5", n)
+	}
+	for i := 0; i < 3; i++ {
+		if r, ok := s.Next(); ok || r != (Ref{}) {
+			t.Fatalf("Next after exhaustion = %+v, %v", r, ok)
 		}
 	}
-	StopAll(s)
-	n := <-produced
-	if n >= 1_000_000 {
-		t.Errorf("generator ran to completion despite Stop (produced %d)", n)
+	if calls != 1 {
+		t.Errorf("fill called %d times after exhaustion, want 1 in total", calls)
 	}
-	// After stop the stream reports exhaustion.
-	if _, ok := s.Next(); ok {
-		t.Error("stopped stream yielded a ref")
+}
+
+// TestFillReusesBuffer pins the no-allocation contract: once a filler's
+// batches fit the buffer — after at most one growth for a batch larger
+// than fillCap — draining allocates nothing.
+func TestFillReusesBuffer(t *testing.T) {
+	for _, batch := range []int{fillCap / 2, 3 * fillCap} {
+		s := Fill(countFill(1<<30, batch))
+		for i := 0; i < 2*batch; i++ { // warm: the first batches may grow the buffer
+			s.Next()
+		}
+		if a := testing.AllocsPerRun(10, func() {
+			for i := 0; i < 4*batch; i++ {
+				if _, ok := s.Next(); !ok {
+					t.Fatal("stream ended")
+				}
+			}
+		}); a != 0 {
+			t.Errorf("batch %d: %v allocs per drain of four batches, want 0", batch, a)
+		}
 	}
-	// Stop is idempotent.
-	StopAll(s)
 }
 
 func TestKindString(t *testing.T) {

@@ -1,10 +1,6 @@
 package workload
 
-import (
-	"testing"
-
-	"repro/internal/trace"
-)
+import "testing"
 
 // benchStreams measures reference-generation throughput per kernel.
 func benchStreams(b *testing.B, name string, class Class) {
@@ -25,13 +21,16 @@ func benchStreams(b *testing.B, name string, class Class) {
 				produced++
 			}
 		}
-		trace.StopAll(streams...)
 	}
 }
 
-func BenchmarkCGStream(b *testing.B)   { benchStreams(b, "CG", C) }
-func BenchmarkSPStream(b *testing.B)   { benchStreams(b, "SP", C) }
-func BenchmarkISStream(b *testing.B)   { benchStreams(b, "IS", C) }
-func BenchmarkFTStream(b *testing.B)   { benchStreams(b, "FT", C) }
-func BenchmarkEPStream(b *testing.B)   { benchStreams(b, "EP", C) }
-func BenchmarkX264Stream(b *testing.B) { benchStreams(b, "x264", Native) }
+func BenchmarkCGStream(b *testing.B)            { benchStreams(b, "CG", C) }
+func BenchmarkSPStream(b *testing.B)            { benchStreams(b, "SP", C) }
+func BenchmarkISStream(b *testing.B)            { benchStreams(b, "IS", C) }
+func BenchmarkFTStream(b *testing.B)            { benchStreams(b, "FT", C) }
+func BenchmarkEPStream(b *testing.B)            { benchStreams(b, "EP", C) }
+func BenchmarkX264Stream(b *testing.B)          { benchStreams(b, "x264", Native) }
+func BenchmarkMGStream(b *testing.B)            { benchStreams(b, "MG", C) }
+func BenchmarkCannealStream(b *testing.B)       { benchStreams(b, "canneal", Native) }
+func BenchmarkStreamclusterStream(b *testing.B) { benchStreams(b, "streamcluster", Native) }
+func BenchmarkFluidanimateStream(b *testing.B)  { benchStreams(b, "fluidanimate", Native) }

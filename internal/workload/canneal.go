@@ -65,45 +65,54 @@ const cannealNetlist = 0
 // barrier, as the real program's synchronized temperature updates do.
 func (c *canneal) Streams(threads int) []trace.Stream {
 	steps := c.tune.scale(c.p.steps)
-	p := c.p
 	streams := make([]trace.Stream, threads)
 	for t := 0; t < threads; t++ {
-		tt := t
-		seed := uint64(seedFor("canneal", c.class, t)) | 1
-		streams[t] = trace.Gen(func(emit func(trace.Ref) bool) {
-			rng := seed
-			elem := func() uint64 {
-				rng = xorshift64(rng)
-				return base(cannealNetlist) + (rng%uint64(p.elements))*64
-			}
-			for step := 0; step < steps; step++ {
-				for move := 0; move < p.moves; move++ {
-					// Load both swap candidates.
-					for pick := 0; pick < 2; pick++ {
-						if !emit(trace.Ref{Addr: elem(), Kind: trace.Load, Dep: true, Work: 3}) {
-							return
-						}
-						// Chase two of the element's net pointers.
-						for hop := 0; hop < 2; hop++ {
-							if !emit(trace.Ref{Addr: elem(), Kind: trace.Load, Dep: true, Work: 2}) {
-								return
-							}
-						}
-					}
-					// Commit the swap (stores drain via the write buffer).
-					if !emit(trace.Ref{Addr: elem(), Kind: trace.Store, Work: 4}) {
-						return
-					}
-					if !emit(trace.Ref{Addr: elem(), Kind: trace.Store, Work: 4}) {
-						return
-					}
-				}
-				// Temperature update: synchronized across threads.
-				if !emitBarrier(emit, tt, step) {
-					return
-				}
-			}
-		})
+		cur := &cannealCursor{p: c.p, thread: t, steps: steps, rng: uint64(seedFor("canneal", c.class, t)) | 1}
+		streams[t] = trace.Fill(cur.fill)
 	}
 	return streams
+}
+
+// cannealCursor is one thread's position in the annealing schedule; move
+// == p.moves means the step's barrier is next.
+type cannealCursor struct {
+	p             cannealParams
+	thread, steps int
+	step, move    int
+	rng           uint64
+}
+
+// elem draws the next pseudo-random netlist element's address.
+func (c *cannealCursor) elem() uint64 {
+	c.rng = xorshift64(c.rng)
+	return base(cannealNetlist) + (c.rng%uint64(c.p.elements))*64
+}
+
+func (c *cannealCursor) fill(buf []trace.Ref) ([]trace.Ref, bool) {
+	for c.step < c.steps {
+		if full(buf) {
+			return buf, true
+		}
+		if c.move == c.p.moves {
+			// Temperature update: synchronized across threads.
+			buf = appendBarrier(buf, c.thread, c.step)
+			c.step, c.move = c.step+1, 0
+			continue
+		}
+		i := len(buf)
+		buf = grow(buf, 8)
+		// Load both swap candidates, chasing two of each element's net
+		// pointers.
+		for pick := 0; pick < 2; pick++ {
+			buf[i] = trace.Ref{Addr: c.elem(), Kind: trace.Load, Dep: true, Work: 3}
+			buf[i+1] = trace.Ref{Addr: c.elem(), Kind: trace.Load, Dep: true, Work: 2}
+			buf[i+2] = trace.Ref{Addr: c.elem(), Kind: trace.Load, Dep: true, Work: 2}
+			i += 3
+		}
+		// Commit the swap (stores drain via the write buffer).
+		buf[i] = trace.Ref{Addr: c.elem(), Kind: trace.Store, Work: 4}
+		buf[i+1] = trace.Ref{Addr: c.elem(), Kind: trace.Store, Work: 4}
+		c.move++
+	}
+	return buf, false
 }

@@ -89,77 +89,94 @@ func xorshift64(s uint64) uint64 {
 	return s
 }
 
+// cgSweeps are the vector phase's four streaming sweeps, {store, load}:
+// z += alpha p; r -= alpha q; rho = r.r; p = r + beta p.
+var cgSweeps = [4][2]int{{cgVecZ, cgVecP}, {cgVecR, cgVecQ}, {cgVecR, cgVecR}, {cgVecP, cgVecR}}
+
 // Streams partitions the rows statically across threads (OpenMP static
 // schedule) and replays the CG iteration structure per thread:
 //
 //	for it in iterations:
 //	  q = A*p        (stream aVal/aCol, gather p[col], store q)
 //	  vector phase   (four streaming sweeps over the thread's slices)
+//	  barrier
 func (c *cg) Streams(threads int) []trace.Stream {
 	iters := c.tune.scale(c.p.iterations)
+	avg := c.p.nnzPerRow
 	streams := make([]trace.Stream, threads)
+	// startNNZ counts the nonzeros of earlier threads' rows, so each
+	// thread's aVal/aCol addresses are globally consistent.
+	startNNZ := uint64(0)
 	for t := 0; t < threads; t++ {
-		tt := t
 		lo, hi := partition(c.p.rows, threads, t)
-		n := uint64(c.p.rows)
-		avg := c.p.nnzPerRow
-		streams[t] = trace.Gen(func(emit func(trace.Ref) bool) {
-			// Precompute the thread's starting nonzero offset so aVal/aCol
-			// addresses are globally consistent.
-			startNNZ := uint64(0)
-			for r := 0; r < lo; r++ {
-				startNNZ += uint64(cgRowLen(r, avg))
-			}
-			for it := 0; it < iters; it++ {
-				// --- SpMV: q[i] = sum_j A[i,j] * p[col[i,j]] ---
-				k := startNNZ
-				for row := lo; row < hi; row++ {
-					rl := cgRowLen(row, avg)
-					seed := uint64(row)*0xBF58476D1CE4E5B9 + 1
-					for j := 0; j < rl; j++ {
-						// Column index: fixed pseudo-random structure.
-						seed = xorshift64(seed)
-						col := seed % n
-						// Stream the matrix value (independent, 2-cycle FMA).
-						if !emit(trace.Ref{Addr: base(cgAVal) + k*8, Kind: trace.Load, Work: 2}) {
-							return
-						}
-						// Stream the column index (packed int32).
-						if !emit(trace.Ref{Addr: base(cgACol) + k*4, Kind: trace.Load, Work: 0}) {
-							return
-						}
-						// Gather p[col]: address depends on the index load.
-						if !emit(trace.Ref{Addr: base(cgVecP) + col*8, Kind: trace.Load, Dep: true, Work: 0}) {
-							return
-						}
-						k++
-					}
-					// Store the accumulated q[row].
-					if !emit(trace.Ref{Addr: base(cgVecQ) + uint64(row)*8, Kind: trace.Store, Work: 2}) {
-						return
-					}
-				}
-				// --- Vector phase: z += alpha p; r -= alpha q; rho = r.r;
-				// p = r + beta p --- four streaming sweeps over the
-				// thread's slice.
-				for _, sweep := range [][2]int{
-					{cgVecZ, cgVecP}, {cgVecR, cgVecQ}, {cgVecR, cgVecR}, {cgVecP, cgVecR},
-				} {
-					for i := lo; i < hi; i++ {
-						if !emit(trace.Ref{Addr: base(sweep[1]) + uint64(i)*8, Kind: trace.Load, Work: 1}) {
-							return
-						}
-						if !emit(trace.Ref{Addr: base(sweep[0]) + uint64(i)*8, Kind: trace.Store, Work: 1}) {
-							return
-						}
-					}
-				}
-				// Iteration barrier + dot-product reductions.
-				if !emitBarrier(emit, tt, it) {
-					return
-				}
-			}
-		})
+		cur := &cgCursor{n: uint64(c.p.rows), avg: avg, thread: t, iters: iters,
+			lo: lo, hi: hi, startNNZ: startNNZ, i: lo, k: startNNZ}
+		streams[t] = trace.Fill(cur.fill)
+		for r := lo; r < hi; r++ {
+			startNNZ += uint64(cgRowLen(r, avg))
+		}
 	}
 	return streams
+}
+
+// cgCursor is one thread's position in the CG iteration: phase 0 is the
+// SpMV over rows [lo, hi), phases 1-4 are the vector sweeps over the same
+// slice, phase 5 is the barrier. i is the row or element, k the nonzero
+// offset of row i.
+type cgCursor struct {
+	n             uint64
+	avg           int
+	thread, iters int
+	lo, hi        int
+	startNNZ      uint64
+	it, phase, i  int
+	k             uint64
+}
+
+func (c *cgCursor) fill(buf []trace.Ref) ([]trace.Ref, bool) {
+	for c.it < c.iters {
+		if full(buf) {
+			return buf, true
+		}
+		switch {
+		case c.phase == 0 && c.i < c.hi:
+			// One CSR row of q[i] = sum_j A[i,j] * p[col[i,j]].
+			row := c.i
+			rl := cgRowLen(row, c.avg)
+			seed := uint64(row)*0xBF58476D1CE4E5B9 + 1
+			i := len(buf)
+			buf = grow(buf, 3*rl+1)
+			for j := 0; j < rl; j++ {
+				// Column index: fixed pseudo-random structure.
+				seed = xorshift64(seed)
+				col := seed % c.n
+				// Stream the matrix value (independent, 2-cycle FMA).
+				buf[i] = trace.Ref{Addr: base(cgAVal) + c.k*8, Kind: trace.Load, Work: 2}
+				// Stream the column index (packed int32).
+				buf[i+1] = trace.Ref{Addr: base(cgACol) + c.k*4, Kind: trace.Load, Work: 0}
+				// Gather p[col]: address depends on the index load.
+				buf[i+2] = trace.Ref{Addr: base(cgVecP) + col*8, Kind: trace.Load, Dep: true, Work: 0}
+				i += 3
+				c.k++
+			}
+			// Store the accumulated q[row].
+			buf[i] = trace.Ref{Addr: base(cgVecQ) + uint64(row)*8, Kind: trace.Store, Work: 2}
+			c.i++
+		case c.phase >= 1 && c.phase <= 4 && c.i < c.hi:
+			// One element of a streaming vector sweep.
+			sweep := cgSweeps[c.phase-1]
+			i := len(buf)
+			buf = grow(buf, 2)
+			buf[i] = trace.Ref{Addr: base(sweep[1]) + uint64(c.i)*8, Kind: trace.Load, Work: 1}
+			buf[i+1] = trace.Ref{Addr: base(sweep[0]) + uint64(c.i)*8, Kind: trace.Store, Work: 1}
+			c.i++
+		case c.phase == 5:
+			// Iteration barrier + dot-product reductions.
+			buf = appendBarrier(buf, c.thread, c.it)
+			c.it, c.phase, c.i, c.k = c.it+1, 0, c.lo, c.startNNZ
+		default:
+			c.phase, c.i = c.phase+1, c.lo
+		}
+	}
+	return buf, false
 }

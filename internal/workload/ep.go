@@ -71,34 +71,50 @@ func (e *ep) Streams(threads int) []trace.Stream {
 	iters := e.tune.scale(e.p.iterations)
 	streams := make([]trace.Stream, threads)
 	for t := 0; t < threads; t++ {
-		seed := uint64(seedFor("EP", e.class, t)) | 1
-		tableBase := base(epTable) + uint64(t)<<24 // distinct table per thread
-		resultBase := base(epResults) + uint64(t)<<24
-		tableMask := e.p.tableBytes - 1 // tableBytes is a power of two
-		p := e.p
-		streams[t] = trace.Gen(func(emit func(trace.Ref) bool) {
-			rng := seed
-			nextResult := resultBase
-			for i := 0; i < iters; i++ {
-				// The random-pair computation: ~100 cycles of arithmetic
-				// plus one table lookup that stays cache-resident.
-				rng = xorshift64(rng)
-				off := (rng & tableMask) &^ 7
-				if !emit(trace.Ref{Addr: tableBase + off, Kind: trace.Load, Work: 100}) {
-					return
-				}
-				if (i+1)%p.flushEvery == 0 {
-					// Flush accumulated results: a short burst of streaming
-					// stores to fresh lines.
-					for l := 0; l < p.flushLines; l++ {
-						if !emit(trace.Ref{Addr: nextResult, Kind: trace.Store, Work: 1}) {
-							return
-						}
-						nextResult += 64
-					}
-				}
-			}
-		})
+		cur := &epCursor{
+			p:          e.p,
+			iters:      iters,
+			rng:        uint64(seedFor("EP", e.class, t)) | 1,
+			tableBase:  base(epTable) + uint64(t)<<24, // distinct table per thread
+			nextResult: base(epResults) + uint64(t)<<24,
+		}
+		streams[t] = trace.Fill(cur.fill)
 	}
 	return streams
+}
+
+// epCursor is one thread's position in its random-pair loop.
+type epCursor struct {
+	p          epParams
+	iters, i   int
+	rng        uint64
+	tableBase  uint64
+	nextResult uint64
+}
+
+func (c *epCursor) fill(buf []trace.Ref) ([]trace.Ref, bool) {
+	tableMask := c.p.tableBytes - 1 // tableBytes is a power of two
+	for ; c.i < c.iters; c.i++ {
+		if full(buf) {
+			return buf, true
+		}
+		// The random-pair computation: ~100 cycles of arithmetic plus one
+		// table lookup that stays cache-resident.
+		c.rng = xorshift64(c.rng)
+		off := (c.rng & tableMask) &^ 7
+		i := len(buf)
+		buf = grow(buf, 1)
+		buf[i] = trace.Ref{Addr: c.tableBase + off, Kind: trace.Load, Work: 100}
+		if (c.i+1)%c.p.flushEvery == 0 {
+			// Flush accumulated results: a short burst of streaming
+			// stores to fresh lines.
+			i = len(buf)
+			buf = grow(buf, c.p.flushLines)
+			for l := 0; l < c.p.flushLines; l++ {
+				buf[i+l] = trace.Ref{Addr: c.nextResult, Kind: trace.Store, Work: 1}
+				c.nextResult += 64
+			}
+		}
+	}
+	return buf, false
 }

@@ -67,61 +67,66 @@ func (f *fluid) cellAddr(x, y, z int) uint64 {
 
 // Streams partitions the grid by z-slabs (fluidanimate's spatial
 // decomposition). Each frame has two passes — density and force — each
-// visiting every cell of the thread's slab and its six face neighbours,
-// then a barrier.
+// visiting every cell of the thread's slab and its face neighbours, then a
+// barrier.
 func (f *fluid) Streams(threads int) []trace.Stream {
 	frames := f.tune.scale(f.p.frames)
-	p := f.p
 	streams := make([]trace.Stream, threads)
 	for t := 0; t < threads; t++ {
-		tt := t
-		zlo, zhi := partition(p.nz, threads, t)
-		streams[t] = trace.Gen(func(emit func(trace.Ref) bool) {
-			sweep := func() bool {
-				for z := zlo; z < zhi; z++ {
-					for y := 0; y < p.ny; y++ {
-						for x := 0; x < p.nx; x++ {
-							// Own cell: load + store.
-							if !emit(trace.Ref{Addr: f.cellAddr(x, y, z), Kind: trace.Load, Work: 6}) {
-								return false
-							}
-							// Face neighbours in y and z reach other rows
-							// and planes (the x neighbours share the cache
-							// line with the own cell).
-							if y+1 < p.ny {
-								if !emit(trace.Ref{Addr: f.cellAddr(x, y+1, z), Kind: trace.Load, Work: 3}) {
-									return false
-								}
-							}
-							if z+1 < p.nz {
-								if !emit(trace.Ref{Addr: f.cellAddr(x, y, z+1), Kind: trace.Load, Work: 3}) {
-									return false
-								}
-							}
-							if !emit(trace.Ref{Addr: f.cellAddr(x, y, z), Kind: trace.Store, Work: 4}) {
-								return false
-							}
-						}
-					}
-				}
-				return true
-			}
-			for frame := 0; frame < frames; frame++ {
-				// Density pass, then force pass, each globally synchronized.
-				if !sweep() {
-					return
-				}
-				if !emitBarrier(emit, tt, 2*frame) {
-					return
-				}
-				if !sweep() {
-					return
-				}
-				if !emitBarrier(emit, tt, 2*frame+1) {
-					return
-				}
-			}
-		})
+		cur := &fluidCursor{f: f, thread: t, frames: frames}
+		cur.zlo, cur.zhi = partition(f.p.nz, threads, t)
+		cur.z = cur.zlo
+		streams[t] = trace.Fill(cur.fill)
 	}
 	return streams
+}
+
+// fluidCursor is one thread's position: pass counts the density and force
+// passes of all frames (pass/2 is the frame), and (y, z) is the next grid
+// row of the slab [zlo, zhi); z == zhi means the pass's barrier is next.
+type fluidCursor struct {
+	f              *fluid
+	thread, frames int
+	zlo, zhi       int
+	pass, y, z     int
+}
+
+func (c *fluidCursor) fill(buf []trace.Ref) ([]trace.Ref, bool) {
+	p := c.f.p
+	for c.pass < 2*c.frames {
+		if full(buf) {
+			return buf, true
+		}
+		if c.z == c.zhi {
+			// Each pass is globally synchronized.
+			buf = appendBarrier(buf, c.thread, c.pass)
+			c.pass, c.y, c.z = c.pass+1, 0, c.zlo
+			continue
+		}
+		y, z := c.y, c.z
+		i := len(buf)
+		buf = grow(buf, 4*p.nx) // at most four refs per cell
+		for x := 0; x < p.nx; x++ {
+			// Own cell: load + store.
+			buf[i] = trace.Ref{Addr: c.f.cellAddr(x, y, z), Kind: trace.Load, Work: 6}
+			i++
+			// Face neighbours in y and z reach other rows and planes (the
+			// x neighbours share the cache line with the own cell).
+			if y+1 < p.ny {
+				buf[i] = trace.Ref{Addr: c.f.cellAddr(x, y+1, z), Kind: trace.Load, Work: 3}
+				i++
+			}
+			if z+1 < p.nz {
+				buf[i] = trace.Ref{Addr: c.f.cellAddr(x, y, z+1), Kind: trace.Load, Work: 3}
+				i++
+			}
+			buf[i] = trace.Ref{Addr: c.f.cellAddr(x, y, z), Kind: trace.Store, Work: 4}
+			i++
+		}
+		buf = buf[:i]
+		if c.y++; c.y == p.ny {
+			c.y, c.z = 0, c.z+1
+		}
+	}
+	return buf, false
 }

@@ -60,108 +60,109 @@ const (
 	ftU1
 )
 
-// cellAddr returns the address of grid cell (x, y, z) in array arr, with x
-// contiguous.
-func (f *ft) cellAddr(arr int, x, y, z int) uint64 {
-	idx := uint64(z)*uint64(f.p.nx)*uint64(f.p.ny) + uint64(y)*uint64(f.p.nx) + uint64(x)
-	return base(arr) + idx*16
+// ftLogWork is the per-element butterfly work of a transform along a
+// length-n line: n log n work over n elements.
+func ftLogWork(n int) uint32 {
+	w := uint32(1)
+	for n > 1 {
+		n >>= 1
+		w++
+	}
+	return 2 * w
 }
 
 // Streams splits the transform lines of each pass across threads, as the
 // OpenMP NPB FT does. Each iteration runs the three dimensional passes
-// (read from one buffer, write the other) followed by the evolve sweep.
+// (read from one buffer, write the other) followed by the evolve sweep and
+// the iteration barrier.
 func (f *ft) Streams(threads int) []trace.Stream {
 	iters := f.tune.scale(f.p.iterations)
-	streams := make([]trace.Stream, threads)
 	p := f.p
+	streams := make([]trace.Stream, threads)
 	for t := 0; t < threads; t++ {
-		tt := t
-		streams[t] = trace.Gen(func(emit func(trace.Ref) bool) {
-			src, dst := ftU0, ftU1
-			// Per-element butterfly work: the transform along a length-n
-			// line does n log n work over n elements.
-			logN := func(n int) uint32 {
-				w := uint32(1)
-				for n > 1 {
-					n >>= 1
-					w++
-				}
-				return 2 * w
-			}
-			for it := 0; it < iters; it++ {
-				// --- x-dimension pass: lines are (y, z) pairs. ---
-				lines := p.ny * p.nz
-				lo, hi := partition(lines, threads, tt)
-				wx := logN(p.nx)
-				for l := lo; l < hi; l++ {
-					y, z := l%p.ny, l/p.ny
-					for x := 0; x < p.nx; x++ {
-						if !emit(trace.Ref{Addr: f.cellAddr(src, x, y, z), Kind: trace.Load, Work: wx}) {
-							return
-						}
-					}
-					for x := 0; x < p.nx; x++ {
-						if !emit(trace.Ref{Addr: f.cellAddr(dst, x, y, z), Kind: trace.Store, Work: 1}) {
-							return
-						}
-					}
-				}
-				src, dst = dst, src
-				// --- y-dimension pass: lines are (x, z) pairs; stride nx. ---
-				lines = p.nx * p.nz
-				lo, hi = partition(lines, threads, tt)
-				wy := logN(p.ny)
-				for l := lo; l < hi; l++ {
-					x, z := l%p.nx, l/p.nx
-					for y := 0; y < p.ny; y++ {
-						if !emit(trace.Ref{Addr: f.cellAddr(src, x, y, z), Kind: trace.Load, Work: wy}) {
-							return
-						}
-					}
-					for y := 0; y < p.ny; y++ {
-						if !emit(trace.Ref{Addr: f.cellAddr(dst, x, y, z), Kind: trace.Store, Work: 1}) {
-							return
-						}
-					}
-				}
-				src, dst = dst, src
-				// --- z-dimension pass: lines are (x, y) pairs; stride
-				// nx*ny (a whole plane). ---
-				lines = p.nx * p.ny
-				lo, hi = partition(lines, threads, tt)
-				wz := logN(p.nz)
-				for l := lo; l < hi; l++ {
-					x, y := l%p.nx, l/p.nx
-					for z := 0; z < p.nz; z++ {
-						if !emit(trace.Ref{Addr: f.cellAddr(src, x, y, z), Kind: trace.Load, Work: wz}) {
-							return
-						}
-					}
-					for z := 0; z < p.nz; z++ {
-						if !emit(trace.Ref{Addr: f.cellAddr(dst, x, y, z), Kind: trace.Store, Work: 1}) {
-							return
-						}
-					}
-				}
-				src, dst = dst, src
-				// --- evolve: pointwise multiply, sequential sweep over the
-				// thread's share of cells. ---
-				cells := p.nx * p.ny * p.nz
-				clo, chi := partition(cells, threads, tt)
-				for i := clo; i < chi; i++ {
-					if !emit(trace.Ref{Addr: base(src) + uint64(i)*16, Kind: trace.Load, Work: 2}) {
-						return
-					}
-					if !emit(trace.Ref{Addr: base(src) + uint64(i)*16, Kind: trace.Store, Work: 0}) {
-						return
-					}
-				}
-				// Iteration barrier + checksum reduction.
-				if !emitBarrier(emit, tt, it) {
-					return
-				}
-			}
-		})
+		cur := &ftCursor{p: p, thread: t, iters: iters, src: ftU0, dst: ftU1}
+		cur.lines[0][0], cur.lines[0][1] = partition(p.ny*p.nz, threads, t)
+		cur.lines[1][0], cur.lines[1][1] = partition(p.nx*p.nz, threads, t)
+		cur.lines[2][0], cur.lines[2][1] = partition(p.nx*p.ny, threads, t)
+		cur.clo, cur.chi = partition(p.nx*p.ny*p.nz, threads, t)
+		cur.i = cur.lines[0][0]
+		streams[t] = trace.Fill(cur.fill)
 	}
 	return streams
+}
+
+// ftCursor is one thread's position in the FT iteration: phases 0-2 are
+// the x, y and z passes over the lines [lines[phase][0], lines[phase][1]),
+// phase 3 the evolve sweep over cells [clo, chi), phase 4 the barrier. src
+// and dst swap after every pass.
+type ftCursor struct {
+	p             ftParams
+	thread, iters int
+	lines         [3][2]int
+	clo, chi      int
+	src, dst      int
+	it, phase, i  int
+}
+
+func (c *ftCursor) fill(buf []trace.Ref) ([]trace.Ref, bool) {
+	for c.it < c.iters {
+		if full(buf) {
+			return buf, true
+		}
+		switch {
+		case c.phase <= 2 && c.i < c.lines[c.phase][1]:
+			buf = c.appendLine(buf)
+			c.i++
+		case c.phase <= 2:
+			c.src, c.dst = c.dst, c.src
+			c.phase++
+			if c.phase <= 2 {
+				c.i = c.lines[c.phase][0]
+			} else {
+				c.i = c.clo
+			}
+		case c.phase == 3 && c.i < c.chi:
+			// evolve: pointwise multiply, sequential sweep over the
+			// thread's share of cells.
+			addr := base(c.src) + uint64(c.i)*16
+			i := len(buf)
+			buf = grow(buf, 2)
+			buf[i] = trace.Ref{Addr: addr, Kind: trace.Load, Work: 2}
+			buf[i+1] = trace.Ref{Addr: addr, Kind: trace.Store, Work: 0}
+			c.i++
+		case c.phase == 3:
+			c.phase = 4
+		default:
+			// Iteration barrier + checksum reduction.
+			buf = appendBarrier(buf, c.thread, c.it)
+			c.it, c.phase, c.i = c.it+1, 0, c.lines[0][0]
+		}
+	}
+	return buf, false
+}
+
+// appendLine appends line i of the current pass: every element loaded from
+// src with the butterfly work, then every result stored to dst. Cells are
+// indexed z*nx*ny + y*nx + x, with x contiguous.
+func (c *ftCursor) appendLine(buf []trace.Ref) []trace.Ref {
+	p := c.p
+	var x, y, z, n, stride int
+	switch c.phase {
+	case 0: // x pass: lines are (y, z) pairs.
+		y, z, n, stride = c.i%p.ny, c.i/p.ny, p.nx, 1
+	case 1: // y pass: lines are (x, z) pairs; stride nx.
+		x, z, n, stride = c.i%p.nx, c.i/p.nx, p.ny, p.nx
+	default: // z pass: lines are (x, y) pairs; stride nx*ny (a whole plane).
+		x, y, n, stride = c.i%p.nx, c.i/p.nx, p.nz, p.nx*p.ny
+	}
+	first := uint64(z)*uint64(p.nx)*uint64(p.ny) + uint64(y)*uint64(p.nx) + uint64(x)
+	work := ftLogWork(n)
+	i := len(buf)
+	buf = grow(buf, 2*n)
+	for e := 0; e < n; e++ {
+		off := (first + uint64(e*stride)) * 16
+		buf[i+e] = trace.Ref{Addr: base(c.src) + off, Kind: trace.Load, Work: work}
+		buf[i+n+e] = trace.Ref{Addr: base(c.dst) + off, Kind: trace.Store, Work: 1}
+	}
+	return buf
 }

@@ -72,65 +72,78 @@ func (w *is) Streams(threads int) []trace.Stream {
 	iters := w.tune.scale(w.p.iterations)
 	streams := make([]trace.Stream, threads)
 	for t := 0; t < threads; t++ {
-		tt := t
-		lo, hi := partition(w.p.keys, threads, t)
-		seed := uint64(seedFor("IS", w.class, t)) | 1
-		p := w.p
-		keys := uint64(p.keys)
-		streams[t] = trace.Gen(func(emit func(trace.Ref) bool) {
-			for it := 0; it < iters; it++ {
-				// --- Count phase: load key (with the shift/mask work of
-				// key extraction), then increment its histogram entry. The
-				// entry LOAD is address-dependent on the key; the store to
-				// the same line drains through the write buffer. ---
-				rng := seed
-				for i := lo; i < hi; i++ {
-					if !emit(trace.Ref{Addr: base(isKeys) + uint64(i)*4, Kind: trace.Load, Work: 4}) {
-						return
-					}
-					rng = xorshift64(rng)
-					entry := rng % uint64(p.keyRange)
-					if !emit(trace.Ref{Addr: base(isHist) + entry*4, Kind: trace.Load, Dep: true, Work: 1}) {
-						return
-					}
-					if !emit(trace.Ref{Addr: base(isHist) + entry*4, Kind: trace.Store, Work: 1}) {
-						return
-					}
-				}
-				// --- Rank phase: prefix-sum sweep over the thread's share
-				// of the histogram (independent streaming). ---
-				hlo, hhi := partition(p.keyRange, threads, tt)
-				for b := hlo; b < hhi; b++ {
-					if !emit(trace.Ref{Addr: base(isHist) + uint64(b)*4, Kind: trace.Load, Work: 1}) {
-						return
-					}
-				}
-				// --- Permute phase: reload keys; each key's destination
-				// comes from a rank lookup through the histogram (an
-				// address-dependent load), then the key is scattered into
-				// the output through the write buffer. ---
-				rng = seed
-				for i := lo; i < hi; i++ {
-					if !emit(trace.Ref{Addr: base(isKeys) + uint64(i)*4, Kind: trace.Load, Work: 4}) {
-						return
-					}
-					rng = xorshift64(rng)
-					entry := rng % uint64(p.keyRange)
-					if !emit(trace.Ref{Addr: base(isHist) + entry*4, Kind: trace.Load, Dep: true, Work: 1}) {
-						return
-					}
-					// The store serializes through the bucket pointer's
-					// read-modify-write (key_buff_ptr[key]++ in NPB IS).
-					pos := rng % keys
-					if !emit(trace.Ref{Addr: base(isOutput) + pos*4, Kind: trace.Store, Dep: true, Work: 1}) {
-						return
-					}
-				}
-				if !emitBarrier(emit, tt, it) {
-					return
-				}
-			}
-		})
+		cur := &isCursor{p: w.p, thread: t, iters: iters, seed: uint64(seedFor("IS", w.class, t)) | 1}
+		cur.lo, cur.hi = partition(w.p.keys, threads, t)
+		cur.hlo, cur.hhi = partition(w.p.keyRange, threads, t)
+		cur.i, cur.rng = cur.lo, cur.seed
+		streams[t] = trace.Fill(cur.fill)
 	}
 	return streams
+}
+
+// isCursor is one thread's position in the IS iteration: phase 0 counts
+// keys [lo, hi), phase 1 ranks buckets [hlo, hhi), phase 2 permutes the
+// keys, phase 3 is the barrier. Both key phases replay the same key
+// sequence from seed.
+type isCursor struct {
+	p             isParams
+	thread, iters int
+	seed, rng     uint64
+	lo, hi        int
+	hlo, hhi      int
+	it, phase, i  int
+}
+
+func (c *isCursor) fill(buf []trace.Ref) ([]trace.Ref, bool) {
+	keyRange := uint64(c.p.keyRange)
+	for c.it < c.iters {
+		if full(buf) {
+			return buf, true
+		}
+		switch {
+		case c.phase == 0 && c.i < c.hi:
+			// Count: load key (with the shift/mask work of key
+			// extraction), then increment its histogram entry. The entry
+			// LOAD is address-dependent on the key; the store to the same
+			// line drains through the write buffer.
+			c.rng = xorshift64(c.rng)
+			entry := base(isHist) + (c.rng%keyRange)*4
+			i := len(buf)
+			buf = grow(buf, 3)
+			buf[i] = trace.Ref{Addr: base(isKeys) + uint64(c.i)*4, Kind: trace.Load, Work: 4}
+			buf[i+1] = trace.Ref{Addr: entry, Kind: trace.Load, Dep: true, Work: 1}
+			buf[i+2] = trace.Ref{Addr: entry, Kind: trace.Store, Work: 1}
+			c.i++
+		case c.phase == 0:
+			c.phase, c.i = 1, c.hlo
+		case c.phase == 1 && c.i < c.hhi:
+			// Rank: prefix-sum sweep over the thread's share of the
+			// histogram (independent streaming).
+			i := len(buf)
+			buf = grow(buf, 1)
+			buf[i] = trace.Ref{Addr: base(isHist) + uint64(c.i)*4, Kind: trace.Load, Work: 1}
+			c.i++
+		case c.phase == 1:
+			c.phase, c.i, c.rng = 2, c.lo, c.seed
+		case c.phase == 2 && c.i < c.hi:
+			// Permute: reload the key; its destination comes from a rank
+			// lookup through the histogram (an address-dependent load),
+			// then the key is scattered into the output. The store
+			// serializes through the bucket pointer's read-modify-write
+			// (key_buff_ptr[key]++ in NPB IS).
+			c.rng = xorshift64(c.rng)
+			i := len(buf)
+			buf = grow(buf, 3)
+			buf[i] = trace.Ref{Addr: base(isKeys) + uint64(c.i)*4, Kind: trace.Load, Work: 4}
+			buf[i+1] = trace.Ref{Addr: base(isHist) + (c.rng%keyRange)*4, Kind: trace.Load, Dep: true, Work: 1}
+			buf[i+2] = trace.Ref{Addr: base(isOutput) + (c.rng%uint64(c.p.keys))*4, Kind: trace.Store, Dep: true, Work: 1}
+			c.i++
+		case c.phase == 2:
+			c.phase = 3
+		default:
+			buf = appendBarrier(buf, c.thread, c.it)
+			c.it, c.phase, c.i, c.rng = c.it+1, 0, c.lo, c.seed
+		}
+	}
+	return buf, false
 }

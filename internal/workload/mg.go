@@ -73,113 +73,147 @@ func mgGridBase(arr, level int) uint64 {
 	return base(arr) + uint64(level)<<32
 }
 
-// Streams partitions each level's planes across threads. One iteration is
-// a V-cycle: smooth+restrict down the hierarchy, then prolongate+smooth
-// back up, with a barrier after each iteration.
+// mgOp is one step of a V-cycle: a smoothing sweep or a grid transfer at
+// a level, or the iteration barrier. lo and hi bound the thread's cells.
+type mgOp struct {
+	kind   int
+	level  int
+	n      int // the level's grid dimension (the fine one for transfers)
+	lo, hi int
+}
+
+const (
+	mgSmooth = iota
+	mgRestrict
+	mgProlong
+	mgBarrier
+)
+
+// vcycle lists the steps of one V-cycle for thread t: smooth+restrict down
+// the hierarchy, a few smoothing passes on the coarsest grid, then
+// prolongate+smooth back up, and the barrier.
+func (m *mg) vcycle(threads, t int) []mgOp {
+	p := m.p
+	var ops []mgOp
+	smooth := func(level, n int) {
+		lo, hi := partition(n*n*n, threads, t)
+		ops = append(ops, mgOp{kind: mgSmooth, level: level, n: n, lo: lo, hi: hi})
+	}
+	transfer := func(kind, fineLevel, fineN int) {
+		coarseN := fineN / 2
+		lo, hi := partition(coarseN*coarseN*coarseN, threads, t)
+		ops = append(ops, mgOp{kind: kind, level: fineLevel, n: fineN, lo: lo, hi: hi})
+	}
+	// Down-sweep: smooth then restrict at each level.
+	n := p.n
+	for l := 0; l < p.levels-1 && n >= 4; l++ {
+		smooth(l, n)
+		transfer(mgRestrict, l, n)
+		n /= 2
+	}
+	// Bottom solve: a few smoothing passes on the coarsest grid.
+	for pass := 0; pass < 2; pass++ {
+		smooth(p.levels-1, n)
+	}
+	// Up-sweep: prolongate then smooth.
+	for l := p.levels - 2; l >= 0; l-- {
+		fineN := p.n >> l
+		if fineN < 4 {
+			continue
+		}
+		transfer(mgProlong, l, fineN)
+		smooth(l, fineN)
+	}
+	return append(ops, mgOp{kind: mgBarrier})
+}
+
+// Streams partitions each level's cells across threads. One iteration is
+// a V-cycle (see vcycle), ending with a barrier.
 func (m *mg) Streams(threads int) []trace.Stream {
 	iters := m.tune.scale(m.p.iterations)
-	p := m.p
 	streams := make([]trace.Stream, threads)
 	for t := 0; t < threads; t++ {
-		tt := t
-		streams[t] = trace.Gen(func(emit func(trace.Ref) bool) {
-			// smooth sweeps level l's grid with a 27-point stencil: for
-			// each cell, loads of the three adjacent planes (affine) and a
-			// store of the updated cell.
-			smooth := func(level, n int) bool {
-				cells := n * n * n
-				plane := uint64(n) * uint64(n) * 8
-				lo, hi := partition(cells, threads, tt)
-				ub := mgGridBase(mgU, level)
-				rb := mgGridBase(mgR, level)
-				for i := lo; i < hi; i++ {
-					addr := ub + uint64(i)*8
-					// Stencil: own cell, the plane above and below (the
-					// row/column neighbors share cache lines with the
-					// central load and are omitted).
-					if !emit(trace.Ref{Addr: addr, Kind: trace.Load, Work: 4}) {
-						return false
-					}
-					if !emit(trace.Ref{Addr: addr + plane, Kind: trace.Load, Work: 2}) {
-						return false
-					}
-					if addr >= ub+plane {
-						if !emit(trace.Ref{Addr: addr - plane, Kind: trace.Load, Work: 2}) {
-							return false
-						}
-					}
-					if !emit(trace.Ref{Addr: rb + uint64(i)*8, Kind: trace.Store, Work: 3}) {
-						return false
-					}
-				}
-				return true
-			}
-			// transfer moves data between level l and l+1 (restrict) or
-			// back (prolongate): a strided read of the fine grid and a
-			// sequential write of the coarse one, or vice versa.
-			transfer := func(fineLevel, fineN int, down bool) bool {
-				coarseN := fineN / 2
-				cells := coarseN * coarseN * coarseN
-				lo, hi := partition(cells, threads, tt)
-				fb := mgGridBase(mgR, fineLevel)
-				cb := mgGridBase(mgR, fineLevel+1)
-				for i := lo; i < hi; i++ {
-					// The coarse cell (x,y,z) maps to fine (2x,2y,2z).
-					x := i % coarseN
-					y := (i / coarseN) % coarseN
-					z := i / (coarseN * coarseN)
-					fi := uint64(2*z)*uint64(fineN)*uint64(fineN) + uint64(2*y)*uint64(fineN) + uint64(2*x)
-					if down {
-						if !emit(trace.Ref{Addr: fb + fi*8, Kind: trace.Load, Work: 3}) {
-							return false
-						}
-						if !emit(trace.Ref{Addr: cb + uint64(i)*8, Kind: trace.Store, Work: 1}) {
-							return false
-						}
-					} else {
-						if !emit(trace.Ref{Addr: cb + uint64(i)*8, Kind: trace.Load, Work: 1}) {
-							return false
-						}
-						if !emit(trace.Ref{Addr: fb + fi*8, Kind: trace.Store, Work: 3}) {
-							return false
-						}
-					}
-				}
-				return true
-			}
-			for it := 0; it < iters; it++ {
-				// Down-sweep: smooth then restrict at each level.
-				n := p.n
-				for l := 0; l < p.levels-1 && n >= 4; l++ {
-					if !smooth(l, n) || !transfer(l, n, true) {
-						return
-					}
-					n /= 2
-				}
-				// Bottom solve: a few smoothing passes on the coarsest grid.
-				for pass := 0; pass < 2; pass++ {
-					if !smooth(p.levels-1, n) {
-						return
-					}
-				}
-				// Up-sweep: prolongate then smooth.
-				for l := p.levels - 2; l >= 0; l-- {
-					fineN := p.n >> l
-					if fineN < 4 {
-						continue
-					}
-					if !transfer(l, fineN, false) {
-						return
-					}
-					if !smooth(l, fineN) {
-						return
-					}
-				}
-				if !emitBarrier(emit, tt, it) {
-					return
-				}
-			}
-		})
+		cur := &mgCursor{thread: t, iters: iters, ops: m.vcycle(threads, t)}
+		cur.i = cur.ops[0].lo
+		streams[t] = trace.Fill(cur.fill)
 	}
 	return streams
+}
+
+// mgCursor is one thread's position in the V-cycle: iteration it, step op
+// of ops, cell i.
+type mgCursor struct {
+	thread, iters int
+	ops           []mgOp
+	it, op, i     int
+}
+
+func (c *mgCursor) fill(buf []trace.Ref) ([]trace.Ref, bool) {
+	for c.it < c.iters {
+		if full(buf) {
+			return buf, true
+		}
+		op := &c.ops[c.op]
+		switch {
+		case op.kind == mgBarrier:
+			buf = appendBarrier(buf, c.thread, c.it)
+			c.it, c.op, c.i = c.it+1, 0, c.ops[0].lo
+		case c.i >= op.hi:
+			c.op++
+			c.i = c.ops[c.op].lo
+		case op.kind == mgSmooth:
+			buf = op.appendSmooth(buf, c.i)
+			c.i++
+		default:
+			buf = op.appendTransfer(buf, c.i)
+			c.i++
+		}
+	}
+	return buf, false
+}
+
+// appendSmooth appends one cell of the 27-point stencil sweep: loads of the
+// cell and of the planes above and below (affine), and a store of the
+// updated cell. The row/column neighbors share cache lines with the
+// central load and are omitted.
+func (op *mgOp) appendSmooth(buf []trace.Ref, cell int) []trace.Ref {
+	plane := uint64(op.n) * uint64(op.n) * 8
+	ub := mgGridBase(mgU, op.level)
+	addr := ub + uint64(cell)*8
+	i := len(buf)
+	buf = grow(buf, 4)
+	buf[i] = trace.Ref{Addr: addr, Kind: trace.Load, Work: 4}
+	buf[i+1] = trace.Ref{Addr: addr + plane, Kind: trace.Load, Work: 2}
+	i += 2
+	if addr >= ub+plane {
+		buf[i] = trace.Ref{Addr: addr - plane, Kind: trace.Load, Work: 2}
+		i++
+	}
+	buf[i] = trace.Ref{Addr: mgGridBase(mgR, op.level) + uint64(cell)*8, Kind: trace.Store, Work: 3}
+	return buf[:i+1]
+}
+
+// appendTransfer appends coarse cell i of a move between the fine level and
+// the next coarser one: restrict is a strided read of the fine grid and a
+// sequential write of the coarse one, prolongate the reverse.
+func (op *mgOp) appendTransfer(buf []trace.Ref, cell int) []trace.Ref {
+	fineN := uint64(op.n)
+	coarseN := op.n / 2
+	// The coarse cell (x,y,z) maps to fine (2x,2y,2z).
+	x := cell % coarseN
+	y := (cell / coarseN) % coarseN
+	z := cell / (coarseN * coarseN)
+	fi := uint64(2*z)*fineN*fineN + uint64(2*y)*fineN + uint64(2*x)
+	fine := mgGridBase(mgR, op.level) + fi*8
+	coarse := mgGridBase(mgR, op.level+1) + uint64(cell)*8
+	i := len(buf)
+	buf = grow(buf, 2)
+	if op.kind == mgRestrict {
+		buf[i] = trace.Ref{Addr: fine, Kind: trace.Load, Work: 3}
+		buf[i+1] = trace.Ref{Addr: coarse, Kind: trace.Store, Work: 1}
+	} else {
+		buf[i] = trace.Ref{Addr: coarse, Kind: trace.Load, Work: 1}
+		buf[i+1] = trace.Ref{Addr: fine, Kind: trace.Store, Work: 3}
+	}
+	return buf
 }

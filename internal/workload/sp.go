@@ -67,98 +67,97 @@ const (
 
 const spCellBytes = 40
 
-// cellAddr returns the address of cell (x, y, z) in array arr, with x
-// contiguous.
-func (s *sp) cellAddr(arr, x, y, z int) uint64 {
-	n := uint64(s.p.n)
-	idx := uint64(z)*n*n + uint64(y)*n + uint64(x)
-	return base(arr) + idx*spCellBytes
-}
-
 // Streams reproduces the SP iteration: compute_rhs (sequential streaming),
 // then x_solve, y_solve and z_solve, each a forward elimination followed by
 // back substitution along every grid line of that dimension, partitioned
-// across threads by line.
+// across threads by line, then the iteration barrier.
 func (s *sp) Streams(threads int) []trace.Stream {
 	iters := s.tune.scale(s.p.iterations)
 	n := s.p.n
 	streams := make([]trace.Stream, threads)
 	for t := 0; t < threads; t++ {
-		tt := t
-		streams[t] = trace.Gen(func(emit func(trace.Ref) bool) {
-			// solveLine emits the accesses of the pentadiagonal recurrence
-			// along one grid line: forward elimination reading LHS and
-			// updating RHS, then back substitution updating U. The
-			// computation is a serial recurrence, but the ADDRESSES are
-			// affine in the line index, so the loads are issued
-			// independently (the core/prefetcher runs ahead) — SP floods
-			// the memory system with strided misses at full memory-level
-			// parallelism, which is exactly why the paper measures it as
-			// the highest-contention program. cellAt maps the 1D line
-			// position to a cell address in the given array.
-			solveLine := func(cellAt func(arr, i int) uint64) bool {
-				for i := 0; i < n; i++ {
-					if !emit(trace.Ref{Addr: cellAt(spLHS, i), Kind: trace.Load, Work: 5}) {
-						return false
-					}
-					if !emit(trace.Ref{Addr: cellAt(spRHS, i), Kind: trace.Store, Work: 3}) {
-						return false
-					}
-				}
-				// Back substitution, reverse order.
-				for i := n - 1; i >= 0; i-- {
-					if !emit(trace.Ref{Addr: cellAt(spRHS, i), Kind: trace.Load, Work: 4}) {
-						return false
-					}
-					if !emit(trace.Ref{Addr: cellAt(spU, i), Kind: trace.Store, Work: 2}) {
-						return false
-					}
-				}
-				return true
-			}
-			for it := 0; it < iters; it++ {
-				// --- compute_rhs: sequential sweep of the whole grid. ---
-				cells := n * n * n
-				clo, chi := partition(cells, threads, tt)
-				for i := clo; i < chi; i++ {
-					if !emit(trace.Ref{Addr: base(spU) + uint64(i)*spCellBytes, Kind: trace.Load, Work: 3}) {
-						return
-					}
-					if !emit(trace.Ref{Addr: base(spRHS) + uint64(i)*spCellBytes, Kind: trace.Store, Work: 2}) {
-						return
-					}
-				}
-				// --- x_solve: lines along x (contiguous). ---
-				lines := n * n
-				lo, hi := partition(lines, threads, tt)
-				for l := lo; l < hi; l++ {
-					y, z := l%n, l/n
-					if !solveLine(func(arr, i int) uint64 { return s.cellAddr(arr, i, y, z) }) {
-						return
-					}
-				}
-				// --- y_solve: lines along y (stride n cells). ---
-				lo, hi = partition(lines, threads, tt)
-				for l := lo; l < hi; l++ {
-					x, z := l%n, l/n
-					if !solveLine(func(arr, i int) uint64 { return s.cellAddr(arr, x, i, z) }) {
-						return
-					}
-				}
-				// --- z_solve: lines along z (stride n^2 cells — a plane). ---
-				lo, hi = partition(lines, threads, tt)
-				for l := lo; l < hi; l++ {
-					x, y := l%n, l/n
-					if !solveLine(func(arr, i int) uint64 { return s.cellAddr(arr, x, y, i) }) {
-						return
-					}
-				}
-				// ADI iteration barrier + residual reduction.
-				if !emitBarrier(emit, tt, it) {
-					return
-				}
-			}
-		})
+		cur := &spCursor{n: n, thread: t, iters: iters}
+		cur.clo, cur.chi = partition(n*n*n, threads, t)
+		cur.lo, cur.hi = partition(n*n, threads, t)
+		cur.i = cur.clo
+		streams[t] = trace.Fill(cur.fill)
 	}
 	return streams
+}
+
+// spCursor is one thread's position in the SP iteration: phase 0 is
+// compute_rhs over cells [clo, chi), phases 1-3 are the x, y and z solves
+// over lines [lo, hi), phase 4 is the barrier. i is the cell or line.
+type spCursor struct {
+	n             int
+	thread, iters int
+	clo, chi      int
+	lo, hi        int
+	it, phase, i  int
+}
+
+func (c *spCursor) fill(buf []trace.Ref) ([]trace.Ref, bool) {
+	n := uint64(c.n)
+	for c.it < c.iters {
+		if full(buf) {
+			return buf, true
+		}
+		switch {
+		case c.phase == 0 && c.i < c.chi:
+			// compute_rhs: sequential sweep of the whole grid.
+			i := len(buf)
+			buf = grow(buf, 2)
+			buf[i] = trace.Ref{Addr: base(spU) + uint64(c.i)*spCellBytes, Kind: trace.Load, Work: 3}
+			buf[i+1] = trace.Ref{Addr: base(spRHS) + uint64(c.i)*spCellBytes, Kind: trace.Store, Work: 2}
+			c.i++
+		case c.phase >= 1 && c.phase <= 3 && c.i < c.hi:
+			// Line l of cell index z*n*n + y*n + x, with x contiguous.
+			l := uint64(c.i)
+			var first, stride uint64
+			switch c.phase {
+			case 1: // x_solve: lines along x (contiguous).
+				first, stride = (l/n)*n*n+(l%n)*n, 1
+			case 2: // y_solve: lines along y (stride n cells).
+				first, stride = (l/n)*n*n+l%n, n
+			case 3: // z_solve: lines along z (stride n^2 cells — a plane).
+				first, stride = (l/n)*n+l%n, n*n
+			}
+			buf = c.appendLine(buf, first, stride)
+			c.i++
+		case c.phase == 4:
+			// ADI iteration barrier + residual reduction.
+			buf = appendBarrier(buf, c.thread, c.it)
+			c.it, c.phase, c.i = c.it+1, 0, c.clo
+		default:
+			c.phase, c.i = c.phase+1, c.lo
+		}
+	}
+	return buf, false
+}
+
+// appendLine appends the accesses of the pentadiagonal recurrence along one
+// grid line of cells first, first+stride, ...: forward elimination reading
+// LHS and updating RHS, then back substitution updating U. The computation
+// is a serial recurrence, but the ADDRESSES are affine in the line index,
+// so the loads are issued independently (the core/prefetcher runs ahead) —
+// SP floods the memory system with strided misses at full memory-level
+// parallelism, which is exactly why the paper measures it as the
+// highest-contention program.
+func (c *spCursor) appendLine(buf []trace.Ref, first, stride uint64) []trace.Ref {
+	i := len(buf)
+	buf = grow(buf, 4*c.n)
+	for e := 0; e < c.n; e++ {
+		off := (first + uint64(e)*stride) * spCellBytes
+		buf[i] = trace.Ref{Addr: base(spLHS) + off, Kind: trace.Load, Work: 5}
+		buf[i+1] = trace.Ref{Addr: base(spRHS) + off, Kind: trace.Store, Work: 3}
+		i += 2
+	}
+	// Back substitution, reverse order.
+	for e := c.n - 1; e >= 0; e-- {
+		off := (first + uint64(e)*stride) * spCellBytes
+		buf[i] = trace.Ref{Addr: base(spRHS) + off, Kind: trace.Load, Work: 4}
+		buf[i+1] = trace.Ref{Addr: base(spU) + off, Kind: trace.Store, Work: 2}
+		i += 2
+	}
+	return buf
 }

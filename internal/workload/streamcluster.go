@@ -71,41 +71,54 @@ const (
 // evaluate-and-commit phases are in the real program.
 func (s *sc) Streams(threads int) []trace.Stream {
 	passes := s.tune.scale(s.p.passes)
-	p := s.p
 	streams := make([]trace.Stream, threads)
-	pointBytes := uint64(p.dim) * 4
 	for t := 0; t < threads; t++ {
-		tt := t
-		lo, hi := partition(p.points, threads, t)
-		streams[t] = trace.Gen(func(emit func(trace.Ref) bool) {
-			for pass := 0; pass < passes; pass++ {
-				for pt := lo; pt < hi; pt++ {
-					// Stream the point's coordinates line by line.
-					baseAddr := base(scPoints) + uint64(pt)*pointBytes
-					for off := uint64(0); off < pointBytes; off += 64 {
-						if !emit(trace.Ref{Addr: baseAddr + off, Kind: trace.Load, Work: 6}) {
-							return
-						}
-					}
-					// Distance to each candidate center: centers stay
-					// cache-resident; the distance computation dominates.
-					for c := 0; c < p.centers; c++ {
-						addr := base(scCenters) + uint64(c)*pointBytes
-						if !emit(trace.Ref{Addr: addr, Kind: trace.Load, Work: uint32(3 * p.dim)}) {
-							return
-						}
-					}
-					// Update the point's best cost (read-modify-write).
-					costAddr := base(scCosts) + uint64(pt)*8
-					if !emit(trace.Ref{Addr: costAddr, Kind: trace.Store, Work: 2}) {
-						return
-					}
-				}
-				if !emitBarrier(emit, tt, pass) {
-					return
-				}
-			}
-		})
+		cur := &scCursor{p: s.p, thread: t, passes: passes}
+		cur.lo, cur.hi = partition(s.p.points, threads, t)
+		cur.pt = cur.lo
+		streams[t] = trace.Fill(cur.fill)
 	}
 	return streams
+}
+
+// scCursor is one thread's position: pass, then point pt of [lo, hi);
+// pt == hi means the pass's barrier is next.
+type scCursor struct {
+	p              scParams
+	thread, passes int
+	lo, hi         int
+	pass, pt       int
+}
+
+func (c *scCursor) fill(buf []trace.Ref) ([]trace.Ref, bool) {
+	pointBytes := uint64(c.p.dim) * 4
+	lines := int((pointBytes + 63) / 64)
+	for c.pass < c.passes {
+		if full(buf) {
+			return buf, true
+		}
+		if c.pt == c.hi {
+			buf = appendBarrier(buf, c.thread, c.pass)
+			c.pass, c.pt = c.pass+1, c.lo
+			continue
+		}
+		i := len(buf)
+		buf = grow(buf, lines+c.p.centers+1)
+		// Stream the point's coordinates line by line.
+		baseAddr := base(scPoints) + uint64(c.pt)*pointBytes
+		for l := 0; l < lines; l++ {
+			buf[i+l] = trace.Ref{Addr: baseAddr + uint64(l)*64, Kind: trace.Load, Work: 6}
+		}
+		i += lines
+		// Distance to each candidate center: centers stay cache-resident;
+		// the distance computation dominates.
+		for cn := 0; cn < c.p.centers; cn++ {
+			buf[i+cn] = trace.Ref{Addr: base(scCenters) + uint64(cn)*pointBytes, Kind: trace.Load, Work: uint32(3 * c.p.dim)}
+		}
+		i += c.p.centers
+		// Update the point's best cost (read-modify-write).
+		buf[i] = trace.Ref{Addr: base(scCosts) + uint64(c.pt)*8, Kind: trace.Store, Work: 2}
+		c.pt++
+	}
+	return buf, false
 }

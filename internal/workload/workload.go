@@ -22,8 +22,15 @@
 // pointer chase; EP, x264 and streamcluster are compute- or cache-friendly
 // (lowest) — reproducing the paper's ordering.
 //
+// Each thread's stream is a trace.Fill driven by a small cursor holding the
+// traversal's loop indices (iteration, phase, row, line or macroblock, and
+// any RNG state). Every step of a filler appends one natural unit — a CSR
+// row, a vector element, a grid line, a macroblock or a barrier — so
+// generation runs on the consumer's goroutine and allocates nothing per
+// reference.
+//
 // Iterative kernels end each iteration with barrier coherence traffic and
-// a Sync rendezvous (see emitBarrier), which keeps threads in lockstep and
+// a Sync rendezvous (see appendBarrier), which keeps threads in lockstep and
 // produces the clustered, heavy-tailed bursts that make small problem
 // sizes bursty (paper Fig. 4).
 //
@@ -178,13 +185,6 @@ func partition(n, threads, t int) (lo, hi int) {
 	return lo, hi
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // seedFor derives a deterministic per-thread seed.
 func seedFor(name string, class Class, thread int) int64 {
 	h := int64(1469598103934665603)
@@ -195,10 +195,29 @@ func seedFor(name string, class Class, thread int) int64 {
 	return h ^ int64(thread)*2654435761
 }
 
-// barrierRegion is the shared address region used by emitBarrier.
+// full reports whether a kernel's filler should return the batch it has
+// appended. Stopping at half the buffer leaves the other half for the unit
+// in progress, so no unit up to that size grows the buffer (see trace.Fill;
+// TestStreamsDoNotAllocate checks every kernel).
+func full(buf []trace.Ref) bool { return len(buf) >= cap(buf)/2 }
+
+// grow extends buf by n references, which the caller must store by index:
+// within capacity they keep whatever an earlier batch left there. Kernels
+// write their units this way, not with append(buf, trace.Ref{...}): Ref has
+// too many fields for the compiler to keep in registers, so an appended
+// literal is assembled in a stack temporary and copied, several times
+// slower per reference than a literal stored in place.
+func grow(buf []trace.Ref, n int) []trace.Ref {
+	if l := len(buf) + n; l <= cap(buf) {
+		return buf[:l]
+	}
+	return append(buf, make([]trace.Ref, n)...)
+}
+
+// barrierRegion is the shared address region used by appendBarrier.
 const barrierRegion = 62
 
-// emitBarrier models the off-chip traffic of an iteration barrier plus
+// appendBarrier appends the off-chip traffic of an iteration barrier plus
 // reduction: cross-socket coherence transfers of shared lines (flags,
 // reduction partials, false-shared neighbors). The simulator has no
 // invalidation protocol, so the coherence misses are modeled as accesses to
@@ -210,7 +229,7 @@ const barrierRegion = 62
 // gives cache-resident problem sizes their long-tailed burst-size
 // distribution (paper Fig. 4); for large problem sizes the barrier traffic
 // is negligible against the streaming misses.
-func emitBarrier(emit func(trace.Ref) bool, thread, iter int) bool {
+func appendBarrier(buf []trace.Ref, thread, iter int) []trace.Ref {
 	h := xorshift64(uint64(iter)*0x9E3779B97F4A7C15 + 1)
 	// u in (0, 1]; lines ~ u^(-0.85)/4, clamped: a heavy-tailed burst size
 	// whose volume stays small against the compute phase of one iteration.
@@ -225,12 +244,13 @@ func emitBarrier(emit func(trace.Ref) bool, thread, iter int) bool {
 	// Rotating shared lines: distinct per (iteration, thread) so every
 	// transfer reaches memory, like an invalidation-induced refill.
 	start := (uint64(iter)*16384 + uint64(thread)*512) % (1 << 20)
+	i := len(buf)
+	buf = grow(buf, lines+1)
 	for l := 0; l < lines; l++ {
 		addr := base(barrierRegion) + ((start+uint64(l))%(1<<20))*64
-		if !emit(trace.Ref{Addr: addr, Kind: trace.Load, Dep: l == lines-1, Work: 2}) {
-			return false
-		}
+		buf[i+l] = trace.Ref{Addr: addr, Kind: trace.Load, Dep: l == lines-1, Work: 2}
 	}
 	// Rendezvous: the thread blocks here until all threads arrive.
-	return emit(trace.Ref{Sync: true, Work: 20})
+	buf[i+lines] = trace.Ref{Sync: true, Work: 20}
+	return buf
 }

@@ -177,7 +177,6 @@ func TestStreamsDeterministic(t *testing.T) {
 					t.Fatalf("%s thread %d ref %d: %+v vs %+v", name, th, i, r1[i], r2[i])
 				}
 			}
-			trace.StopAll(s1[th], s2[th])
 		}
 	}
 }
@@ -593,6 +592,35 @@ func TestPARSECFootprintsGrowWithInput(t *testing.T) {
 				t.Errorf("%s.%s footprint %d shrank from %d", name, class, fp, prev)
 			}
 			prev = fp
+		}
+	}
+}
+
+// TestStreamsDoNotAllocate pins the generation contract: once a stream's
+// buffer is warm, pulling references allocates nothing, for every kernel.
+func TestStreamsDoNotAllocate(t *testing.T) {
+	const refs = 16384
+	for _, name := range Names() {
+		classes := ClassesFor(name)
+		w, err := New(name, classes[len(classes)-1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := w.Streams(3)[1]
+		for i := 0; i < refs; i++ { // warm the buffer
+			s.Next()
+		}
+		// One measured run: a buffer that keeps growing allocates less
+		// often than once per run, which averaging would round away.
+		allocs := testing.AllocsPerRun(1, func() {
+			for i := 0; i < refs; i++ {
+				if _, ok := s.Next(); !ok {
+					t.Fatalf("%s: stream ended", name)
+				}
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %v allocs per %d refs, want 0", name, allocs, refs)
 		}
 	}
 }
