@@ -8,7 +8,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: check build vet lint lint-allows lint-extra test short race perfbench-check microbench artifacts-fast serve serve-smoke load-smoke trace-smoke docs-check clean
+.PHONY: check build vet lint lint-allows lint-extra test short race perfbench-check microbench microbench-smoke artifacts-fast serve serve-smoke load-smoke trace-smoke docs-check clean
 
 ## check: the tier-1 gate — vet, lint (simcheck), the allow-directive
 ## audit, the docs' shell examples, build, race-enabled tests, and the
@@ -77,6 +77,13 @@ perfbench-check:
 ## memctrl, runner scaling) with allocation stats.
 microbench:
 	$(GO) test -bench=. -benchmem ./...
+
+## microbench-smoke: compile and run every benchmark body of the hot-path
+## layers once, so a benchmark that no longer builds or fails is caught
+## by CI rather than by the next person who runs it. Timings mean nothing
+## at one iteration; `make microbench` measures.
+microbench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/cache ./internal/trace ./internal/sim ./internal/workload
 
 ## artifacts-fast: CI-grade regeneration of every paper artifact — quarter
 ## -scale workloads, parallel runs. See EXPERIMENTS.md "fast path".

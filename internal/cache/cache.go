@@ -3,45 +3,20 @@
 // workloads so that only last-level misses become off-chip requests — the
 // quantity whose contention behaviour the paper studies.
 //
+// Every cache replaces by exact LRU. Each set is an array of tags kept in
+// recency order, most recently used first, so a hit, a fill and an
+// eviction are one scan and one shift over a few adjacent words.
+//
 // The simulator is single-threaded (discrete-event), so caches are not
-// safe for concurrent use and require no locking. Coherence traffic is not
-// modeled: the paper's workloads partition their data between threads, and
-// the observations of interest (LLC miss counts roughly independent of the
-// number of active cores) hold without invalidation effects.
+// safe for concurrent use and require no locking. Coherence is modeled
+// only as far as the simulator's optional directory needs it: Invalidate
+// drops a line that another socket wrote.
 package cache
 
 import (
 	"fmt"
 	"math/bits"
-	"math/rand"
 )
-
-// Policy selects a replacement policy.
-type Policy uint8
-
-const (
-	// LRU evicts the least-recently-used way (exact, per-set timestamps).
-	LRU Policy = iota
-	// PLRU evicts following a tree-based pseudo-LRU (requires power-of-two
-	// associativity).
-	PLRU
-	// Random evicts a uniformly random way (deterministic per seed).
-	Random
-)
-
-// String implements fmt.Stringer.
-func (p Policy) String() string {
-	switch p {
-	case LRU:
-		return "lru"
-	case PLRU:
-		return "plru"
-	case Random:
-		return "random"
-	default:
-		return "unknown"
-	}
-}
 
 // Config describes one cache level.
 type Config struct {
@@ -55,10 +30,6 @@ type Config struct {
 	Ways int
 	// Latency is the hit latency in cycles.
 	Latency uint64
-	// Policy selects the replacement policy (default LRU).
-	Policy Policy
-	// Seed seeds the Random policy.
-	Seed int64
 	// NextLinePrefetch, when set, inserts line+1 on every demand miss,
 	// modeling a simple hardware prefetcher.
 	NextLinePrefetch bool
@@ -82,17 +53,15 @@ func (s Stats) MissRatio() float64 {
 
 // Cache is one set-associative cache level.
 type Cache struct {
-	cfg      Config
-	sets     int
+	// tags holds sets*ways entries, set-contiguous. An entry is line+1, so
+	// 0 marks an invalid way. Each set is ordered by recency, most recent
+	// first, and its invalid ways sit at the tail.
+	tags     []uint64
 	setMask  uint64
+	ways     int
 	lineBits uint
-	tags     []uint64 // sets*ways entries
-	valid    []bool
-	lastUse  []uint64 // LRU timestamps
-	plru     []uint64 // per-set PLRU tree bits
-	tick     uint64
-	rng      *rand.Rand
 	stats    Stats
+	cfg      Config
 }
 
 // New validates cfg and constructs the cache.
@@ -110,201 +79,111 @@ func New(cfg Config) (*Cache, error) {
 	if bits.OnesCount64(sets) != 1 {
 		return nil, fmt.Errorf("cache %s: set count %d must be a power of two", cfg.Name, sets)
 	}
-	if cfg.Policy == PLRU && bits.OnesCount(uint(cfg.Ways)) != 1 {
-		return nil, fmt.Errorf("cache %s: PLRU requires power-of-two ways, got %d", cfg.Name, cfg.Ways)
-	}
-	c := &Cache{
-		cfg:      cfg,
-		sets:     int(sets),
-		setMask:  sets - 1,
-		lineBits: uint(bits.TrailingZeros64(cfg.Line)),
+	return &Cache{
 		tags:     make([]uint64, int(sets)*cfg.Ways),
-		valid:    make([]bool, int(sets)*cfg.Ways),
-	}
-	switch cfg.Policy {
-	case LRU:
-		c.lastUse = make([]uint64, len(c.tags))
-	case PLRU:
-		c.plru = make([]uint64, sets)
-	case Random:
-		c.rng = rand.New(rand.NewSource(cfg.Seed))
-	default:
-		return nil, fmt.Errorf("cache %s: unknown policy %d", cfg.Name, cfg.Policy)
-	}
-	return c, nil
+		setMask:  sets - 1,
+		ways:     cfg.Ways,
+		lineBits: uint(bits.TrailingZeros64(cfg.Line)),
+		cfg:      cfg,
+	}, nil
 }
 
 // Config returns the configuration the cache was built with.
 func (c *Cache) Config() Config { return c.cfg }
 
 // Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.sets }
+func (c *Cache) Sets() int { return int(c.setMask) + 1 }
 
 // Stats returns a copy of the access counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// lineOf returns the line-granular tag of an address.
-func (c *Cache) lineOf(addr uint64) uint64 { return addr >> c.lineBits }
+// ResetStats zeroes the access counters.
+func (c *Cache) ResetStats() { c.stats = Stats{} }
 
 // Access looks up addr, allocating on miss, and reports whether it hit.
 // Stores allocate like loads (write-allocate); dirty-line writeback traffic
 // is not modeled separately.
 func (c *Cache) Access(addr uint64) bool {
-	hit := c.touch(addr, false)
-	if !hit && c.cfg.NextLinePrefetch {
-		line := c.lineOf(addr)
-		c.touch((line+1)<<c.lineBits, true)
+	line := addr >> c.lineBits
+	c.stats.Accesses++
+	if c.probe(line) {
+		return true
 	}
+	c.missed(line)
+	return false
+}
+
+// probe looks line up and leaves it most recently used in its set: a hit
+// moves it to the front, a miss fills it there. The scan stops at the
+// line, at the first invalid way or at the last way; everything before
+// that point shifts one way back. A miss therefore takes the first invalid
+// way, or evicts the least recently used way of a full set, which is what
+// exact LRU with first-invalid fill does.
+//
+//simcheck:hotpath
+func (c *Cache) probe(line uint64) bool {
+	tag := line + 1
+	set := c.set(line)
+	w := 0
+	for w < len(set)-1 && set[w] != tag && set[w] != 0 {
+		w++
+	}
+	hit := set[w] == tag
+	if !hit && set[w] != 0 {
+		c.stats.Evictions++
+	}
+	for ; w > 0; w-- {
+		set[w] = set[w-1]
+	}
+	set[0] = tag
 	return hit
 }
 
-// touch performs the lookup/fill. prefetch suppresses demand counters.
-func (c *Cache) touch(addr uint64, prefetch bool) bool {
-	line := c.lineOf(addr)
-	set := int(line & c.setMask)
-	base := set * c.cfg.Ways
-	if !prefetch {
-		c.stats.Accesses++
-	} else {
+// missed books a demand miss on line, which probe has just filled, and
+// runs the next-line prefetcher.
+func (c *Cache) missed(line uint64) {
+	c.stats.Misses++
+	if c.cfg.NextLinePrefetch {
 		c.stats.Prefetches++
+		c.probe(line + 1)
 	}
-	c.tick++
+}
 
-	for w := 0; w < c.cfg.Ways; w++ {
-		i := base + w
-		if c.valid[i] && c.tags[i] == line {
-			c.noteUse(set, w)
-			return true
+// set returns the ways of line's set.
+func (c *Cache) set(line uint64) []uint64 {
+	base := int(line&c.setMask) * c.ways
+	return c.tags[base : base+c.ways]
+}
+
+// find returns the set holding addr's line and the line's way in it, or
+// -1 when the line is not resident.
+func (c *Cache) find(addr uint64) ([]uint64, int) {
+	line := addr >> c.lineBits
+	set := c.set(line)
+	for w, t := range set {
+		if t == line+1 {
+			return set, w
 		}
 	}
-	if !prefetch {
-		c.stats.Misses++
-	}
-	// Fill: pick an invalid way first, else evict per policy.
-	victim := -1
-	for w := 0; w < c.cfg.Ways; w++ {
-		if !c.valid[base+w] {
-			victim = w
-			break
-		}
-	}
-	if victim < 0 {
-		victim = c.victim(set)
-		c.stats.Evictions++
-	}
-	i := base + victim
-	c.tags[i] = line
-	c.valid[i] = true
-	c.noteUse(set, victim)
-	return false
+	return set, -1
 }
 
 // Contains reports whether addr's line is resident without updating
 // replacement state or counters.
 func (c *Cache) Contains(addr uint64) bool {
-	line := c.lineOf(addr)
-	base := int(line&c.setMask) * c.cfg.Ways
-	for w := 0; w < c.cfg.Ways; w++ {
-		if c.valid[base+w] && c.tags[base+w] == line {
-			return true
-		}
-	}
-	return false
+	_, w := c.find(addr)
+	return w >= 0
 }
 
 // Invalidate removes addr's line from the cache if present, returning
 // whether a copy was dropped. Used by the coherence directory to model
 // cross-socket invalidations; counters are not affected.
 func (c *Cache) Invalidate(addr uint64) bool {
-	line := c.lineOf(addr)
-	base := int(line&c.setMask) * c.cfg.Ways
-	for w := 0; w < c.cfg.Ways; w++ {
-		if c.valid[base+w] && c.tags[base+w] == line {
-			c.valid[base+w] = false
-			return true
-		}
+	set, w := c.find(addr)
+	if w < 0 {
+		return false
 	}
-	return false
-}
-
-// Flush invalidates the whole cache, leaving counters intact.
-func (c *Cache) Flush() {
-	for i := range c.valid {
-		c.valid[i] = false
-	}
-}
-
-// ResetStats zeroes the access counters.
-func (c *Cache) ResetStats() { c.stats = Stats{} }
-
-// noteUse updates replacement metadata after way w of set was referenced.
-func (c *Cache) noteUse(set, w int) {
-	switch c.cfg.Policy {
-	case LRU:
-		c.lastUse[set*c.cfg.Ways+w] = c.tick
-	case PLRU:
-		c.plruTouch(set, w)
-	}
-}
-
-// victim selects the way to evict from a full set.
-func (c *Cache) victim(set int) int {
-	switch c.cfg.Policy {
-	case LRU:
-		base := set * c.cfg.Ways
-		best, bestUse := 0, c.lastUse[base]
-		for w := 1; w < c.cfg.Ways; w++ {
-			if u := c.lastUse[base+w]; u < bestUse {
-				best, bestUse = w, u
-			}
-		}
-		return best
-	case PLRU:
-		return c.plruVictim(set)
-	case Random:
-		return c.rng.Intn(c.cfg.Ways)
-	}
-	return 0
-}
-
-// plruTouch flips the tree bits on the path to way w to point away from it.
-func (c *Cache) plruTouch(set, w int) {
-	ways := c.cfg.Ways
-	bitsState := c.plru[set]
-	node := 0 // root of implicit binary tree over ways
-	lo, hi := 0, ways
-	for hi-lo > 1 {
-		mid := (lo + hi) / 2
-		if w < mid {
-			// Went left: point the bit right (away from w).
-			bitsState |= 1 << uint(node)
-			node = 2*node + 1
-			hi = mid
-		} else {
-			bitsState &^= 1 << uint(node)
-			node = 2*node + 2
-			lo = mid
-		}
-	}
-	c.plru[set] = bitsState
-}
-
-// plruVictim follows the tree bits to the pseudo-LRU way.
-func (c *Cache) plruVictim(set int) int {
-	ways := c.cfg.Ways
-	bitsState := c.plru[set]
-	node := 0
-	lo, hi := 0, ways
-	for hi-lo > 1 {
-		mid := (lo + hi) / 2
-		if bitsState&(1<<uint(node)) != 0 {
-			// Bit points right.
-			node = 2*node + 2
-			lo = mid
-		} else {
-			node = 2*node + 1
-			hi = mid
-		}
-	}
-	return lo
+	copy(set[w:], set[w+1:])
+	set[len(set)-1] = 0
+	return true
 }

@@ -14,33 +14,32 @@ func mustNew(t *testing.T, cfg Config) *Cache {
 	return c
 }
 
-func small(t *testing.T, policy Policy) *Cache {
+func small(t *testing.T) *Cache {
 	// 4 sets x 2 ways x 64B lines = 512B.
-	return mustNew(t, Config{Name: "t", Size: 512, Line: 64, Ways: 2, Latency: 1, Policy: policy})
+	return mustNew(t, Config{Name: "t", Size: 512, Line: 64, Ways: 2, Latency: 1})
 }
 
 func TestNewValidation(t *testing.T) {
 	bad := []Config{
-		{Size: 512, Line: 0, Ways: 2},                       // zero line
-		{Size: 512, Line: 48, Ways: 2},                      // non-pow2 line
-		{Size: 512, Line: 64, Ways: 0},                      // zero ways
-		{Size: 500, Line: 64, Ways: 2},                      // size not divisible
-		{Size: 64 * 3 * 2, Line: 64, Ways: 2},               // 3 sets, not pow2
-		{Size: 64 * 4 * 3, Line: 64, Ways: 3, Policy: PLRU}, // PLRU non-pow2 ways
+		{Size: 512, Line: 0, Ways: 2},         // zero line
+		{Size: 512, Line: 48, Ways: 2},        // non-pow2 line
+		{Size: 512, Line: 64, Ways: 0},        // zero ways
+		{Size: 500, Line: 64, Ways: 2},        // size not divisible
+		{Size: 64 * 3 * 2, Line: 64, Ways: 2}, // 3 sets, not pow2
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("case %d: expected error for %+v", i, cfg)
 		}
 	}
-	// 3-way LRU is fine (only PLRU needs pow2 ways).
+	// Only the set count must be a power of two, not the ways.
 	if _, err := New(Config{Size: 64 * 4 * 3, Line: 64, Ways: 3}); err != nil {
-		t.Errorf("3-way LRU rejected: %v", err)
+		t.Errorf("3-way cache rejected: %v", err)
 	}
 }
 
 func TestColdMissThenHit(t *testing.T) {
-	c := small(t, LRU)
+	c := small(t)
 	if c.Access(0) {
 		t.Error("cold access hit")
 	}
@@ -60,7 +59,7 @@ func TestColdMissThenHit(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	c := small(t, LRU) // 4 sets, 2 ways; addresses mapping to set 0: multiples of 4*64=256.
+	c := small(t) // 4 sets, 2 ways; addresses mapping to set 0: multiples of 4*64=256.
 	a, b, d := uint64(0), uint64(256), uint64(512)
 	c.Access(a) // miss, fill
 	c.Access(b) // miss, fill -> set full
@@ -81,7 +80,7 @@ func TestLRUEviction(t *testing.T) {
 }
 
 func TestContainsDoesNotPerturb(t *testing.T) {
-	c := small(t, LRU)
+	c := small(t)
 	c.Access(0)
 	c.Access(256)
 	before := c.Stats()
@@ -92,7 +91,7 @@ func TestContainsDoesNotPerturb(t *testing.T) {
 	}
 	// Contains must not refresh LRU: touch b, then query a via Contains,
 	// then fill; a must still be the LRU victim.
-	c2 := small(t, LRU)
+	c2 := small(t)
 	c2.Access(0)   // a
 	c2.Access(256) // b  (a is LRU)
 	c2.Contains(0) // must NOT refresh a
@@ -102,20 +101,8 @@ func TestContainsDoesNotPerturb(t *testing.T) {
 	}
 }
 
-func TestFlush(t *testing.T) {
-	c := small(t, LRU)
-	c.Access(0)
-	c.Flush()
-	if c.Contains(0) {
-		t.Error("line survived flush")
-	}
-	if c.Access(0) {
-		t.Error("post-flush access should miss")
-	}
-}
-
 func TestResetStats(t *testing.T) {
-	c := small(t, LRU)
+	c := small(t)
 	c.Access(0)
 	c.ResetStats()
 	if s := c.Stats(); s.Accesses != 0 || s.Misses != 0 {
@@ -142,7 +129,7 @@ func TestWorkingSetFitsNoCapacityMisses(t *testing.T) {
 func TestWorkingSetExceedsCapacityThrashes(t *testing.T) {
 	// 512B cache (8 lines), 4 KB cyclic sweep with LRU: every access misses
 	// (classic LRU worst case for a cyclic pattern larger than capacity).
-	c := small(t, LRU)
+	c := small(t)
 	total := 0
 	for round := 0; round < 5; round++ {
 		for addr := uint64(0); addr < 4096; addr += 64 {
@@ -152,64 +139,6 @@ func TestWorkingSetExceedsCapacityThrashes(t *testing.T) {
 	}
 	if m := c.Stats().Misses; m != uint64(total) {
 		t.Errorf("misses = %d, want %d (full thrash)", m, total)
-	}
-}
-
-func TestPLRUBasic(t *testing.T) {
-	c := mustNew(t, Config{Name: "t", Size: 1024, Line: 64, Ways: 4, Latency: 1, Policy: PLRU})
-	// 4 sets. Set 0 addresses: multiples of 4*64 = 256.
-	addrs := []uint64{0, 256, 512, 768}
-	for _, a := range addrs {
-		c.Access(a)
-	}
-	for _, a := range addrs {
-		if !c.Contains(a) {
-			t.Errorf("addr %d missing after fill", a)
-		}
-	}
-	// Fill a 5th line: some line must be evicted, set stays at 4 lines.
-	c.Access(1024)
-	resident := 0
-	for _, a := range append(addrs, 1024) {
-		if c.Contains(a) {
-			resident++
-		}
-	}
-	if resident != 4 {
-		t.Errorf("resident = %d, want 4", resident)
-	}
-	if !c.Contains(1024) {
-		t.Error("newly filled line must be resident")
-	}
-}
-
-func TestPLRUVictimIsNotMostRecent(t *testing.T) {
-	c := mustNew(t, Config{Name: "t", Size: 512, Line: 64, Ways: 8, Latency: 1, Policy: PLRU})
-	// Single set (512/(64*8) = 1). Fill 8 ways, touch way of addr 0 last.
-	for i := uint64(0); i < 8; i++ {
-		c.Access(i * 64)
-	}
-	c.Access(0) // most recently used
-	c.Access(8 * 64)
-	if !c.Contains(0) {
-		t.Error("PLRU evicted the most recently used line")
-	}
-}
-
-func TestRandomPolicyDeterministicPerSeed(t *testing.T) {
-	run := func(seed int64) []bool {
-		c := mustNew(t, Config{Name: "t", Size: 512, Line: 64, Ways: 2, Latency: 1, Policy: Random, Seed: seed})
-		var hits []bool
-		for i := 0; i < 200; i++ {
-			hits = append(hits, c.Access(uint64(i%6)*256))
-		}
-		return hits
-	}
-	a1, a2 := run(1), run(1)
-	for i := range a1 {
-		if a1[i] != a2[i] {
-			t.Fatal("same seed produced different behavior")
-		}
 	}
 }
 
@@ -296,17 +225,16 @@ func TestHierarchySharedLevel(t *testing.T) {
 	}
 }
 
-func TestHierarchyFlushAndReset(t *testing.T) {
+func TestHierarchyResetStats(t *testing.T) {
 	l1 := mustNew(t, Config{Name: "L1", Size: 512, Line: 64, Ways: 2, Latency: 1})
 	h := NewHierarchy(l1)
 	h.Access(0)
-	h.Flush()
-	if l1.Contains(0) {
-		t.Error("flush did not propagate")
-	}
 	h.ResetStats()
 	if h.Stats().Accesses != 0 || l1.Stats().Accesses != 0 {
 		t.Error("reset did not propagate")
+	}
+	if !l1.Contains(0) {
+		t.Error("ResetStats should not invalidate contents")
 	}
 }
 
@@ -324,9 +252,8 @@ func TestEmptyHierarchy(t *testing.T) {
 // Property: for any address sequence, hits+misses == accesses and the cache
 // never reports more resident lines than its capacity.
 func TestCacheInvariantsProperty(t *testing.T) {
-	f := func(addrs []uint16, policySel uint8) bool {
-		pol := Policy(policySel % 3)
-		c, err := New(Config{Name: "p", Size: 2048, Line: 64, Ways: 4, Latency: 1, Policy: pol, Seed: 42})
+	f := func(addrs []uint16) bool {
+		c, err := New(Config{Name: "p", Size: 2048, Line: 64, Ways: 4, Latency: 1})
 		if err != nil {
 			return false
 		}
@@ -354,12 +281,10 @@ func TestCacheInvariantsProperty(t *testing.T) {
 	}
 }
 
-// Property: immediately re-accessing any address is always a hit, for every
-// policy.
+// Property: immediately re-accessing any address is always a hit.
 func TestRehitProperty(t *testing.T) {
-	f := func(addrs []uint32, policySel uint8) bool {
-		pol := Policy(policySel % 3)
-		c, err := New(Config{Name: "p", Size: 4096, Line: 64, Ways: 4, Latency: 1, Policy: pol, Seed: 7})
+	f := func(addrs []uint32) bool {
+		c, err := New(Config{Name: "p", Size: 4096, Line: 64, Ways: 4, Latency: 1})
 		if err != nil {
 			return false
 		}
@@ -376,17 +301,8 @@ func TestRehitProperty(t *testing.T) {
 	}
 }
 
-func TestPolicyString(t *testing.T) {
-	if LRU.String() != "lru" || PLRU.String() != "plru" || Random.String() != "random" {
-		t.Error("policy strings wrong")
-	}
-	if Policy(9).String() != "unknown" {
-		t.Error("unknown policy string")
-	}
-}
-
 func TestInvalidate(t *testing.T) {
-	c := small(t, LRU)
+	c := small(t)
 	c.Access(0)
 	if !c.Invalidate(32) { // same line as 0
 		t.Error("Invalidate missed a resident line")

@@ -6,10 +6,7 @@ package cache
 // by placing the same *Cache pointer in several hierarchies.
 type Hierarchy struct {
 	levels []*Cache
-	// MemLatency is the flat latency charged on a full miss in addition to
-	// the per-level hit latencies; the memory-controller queueing delay is
-	// modeled separately by internal/memctrl.
-	stats HierarchyStats
+	stats  HierarchyStats
 }
 
 // HierarchyStats aggregates per-hierarchy outcomes (the per-level counters
@@ -56,20 +53,27 @@ func (h *Hierarchy) LLC() *Cache {
 // Access walks the hierarchy for addr: each level is probed in order and,
 // on a miss, the line is allocated there (inclusive fill) before probing the
 // next level. The returned Result carries the accumulated latency and
-// whether the access must go off-chip.
+// whether the access must go off-chip. DRAM time is not part of it: the
+// memory controllers in internal/memctrl model it.
+//
+// Access runs once per simulated reference, so it probes each level
+// directly rather than through Cache.Access.
+//
+//simcheck:hotpath
 func (h *Hierarchy) Access(addr uint64) Result {
 	h.stats.Accesses++
-	res := Result{HitLevel: -1}
-	for i, lvl := range h.levels {
-		res.Latency += lvl.cfg.Latency
-		if lvl.Access(addr) {
-			res.HitLevel = i
-			return res
+	var latency uint64
+	for i, c := range h.levels {
+		latency += c.cfg.Latency
+		line := addr >> c.lineBits
+		c.stats.Accesses++
+		if c.probe(line) {
+			return Result{HitLevel: i, Latency: latency}
 		}
+		c.missed(line)
 	}
-	res.Miss = true
 	h.stats.LLCMisses++
-	return res
+	return Result{HitLevel: -1, Latency: latency, Miss: true}
 }
 
 // Invalidate removes addr's line from every level, returning whether any
@@ -82,13 +86,6 @@ func (h *Hierarchy) Invalidate(addr uint64) bool {
 		}
 	}
 	return dropped
-}
-
-// Flush invalidates every level.
-func (h *Hierarchy) Flush() {
-	for _, lvl := range h.levels {
-		lvl.Flush()
-	}
 }
 
 // ResetStats zeroes the hierarchy counters and every level's counters.

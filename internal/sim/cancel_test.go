@@ -156,18 +156,22 @@ func TestRunStreamMismatchError(t *testing.T) {
 }
 
 // cancelAfter cancels a run's context from inside the run, once the
-// wrapped stream has handed out n references.
+// wrapped stream has handed out at least n references. The simulator
+// consumes streams through Batch, so that is where it counts.
 type cancelAfter struct {
 	trace.Stream
 	n      int
 	cancel context.CancelFunc
 }
 
-func (c *cancelAfter) Next() (trace.Ref, bool) {
-	if c.n--; c.n == 0 {
-		c.cancel()
+func (c *cancelAfter) Batch() []trace.Ref {
+	b := c.Stream.Batch()
+	if c.n > 0 {
+		if c.n -= len(b); c.n <= 0 {
+			c.cancel()
+		}
 	}
-	return c.Stream.Next()
+	return b
 }
 
 // TestRunLeavesNoGoroutines pins that reference streams generate on the

@@ -112,3 +112,28 @@ func TestCoherenceReadSharingIsFree(t *testing.T) {
 		t.Errorf("read sharing missed %d times", res.LLCMisses)
 	}
 }
+
+// TestCoherenceKeysOnLLCLine pins the directory's granule to the machine's
+// cache line. With 128-byte lines, X and X+64 share a line: socket 1 reads
+// X+64, then socket 0 stores X, which must drop socket 1's copy.
+func TestCoherenceKeysOnLLCLine(t *testing.T) {
+	spec := testSpec()
+	for i := range spec.Levels {
+		spec.Levels[i].Line = 128
+	}
+	x := uint64(1 << 30)
+	idle := []trace.Ref{{Sync: true}, {Sync: true}}
+	streams := []trace.Stream{
+		trace.FromSlice([]trace.Ref{{Sync: true}, {Addr: x, Kind: trace.Store, Work: 1}, {Sync: true}}), // core 0, socket 0
+		trace.FromSlice(idle), // core 1, socket 0
+		trace.FromSlice([]trace.Ref{{Addr: x + 64, Kind: trace.Load, Work: 1}, {Sync: true}, {Sync: true}}), // core 2, socket 1
+		trace.FromSlice(idle), // core 3, socket 1
+	}
+	res, err := Run(context.Background(), Config{Spec: spec, Threads: 4, Cores: 4, Coherence: true}, streams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Invalidations != 1 {
+		t.Errorf("store to a line another socket holds made %d invalidations, want 1", res.Invalidations)
+	}
+}

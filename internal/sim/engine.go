@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/bits"
+
 	"repro/internal/eventq"
 	"repro/internal/machine"
 	"repro/internal/trace"
@@ -11,12 +13,14 @@ type thread struct {
 	id          int
 	core        *core
 	stream      trace.Stream
-	outstanding int  // off-chip requests in flight
-	blocked     bool // waiting on a dependent load, an MSHR slot or a barrier
-	waitDep     bool // blocked specifically on a dependent load
-	wantSlot    bool // blocked waiting for any MSHR slot
-	atBarrier   bool // blocked at a synchronization barrier
-	barrierSeq  int  // barriers passed (the ordinal of the next one)
+	refs        []trace.Ref // the stream's current batch
+	next        int         // index in refs of the next reference to execute
+	outstanding int         // off-chip requests in flight
+	blocked     bool        // waiting on a dependent load, an MSHR slot or a barrier
+	waitDep     bool        // blocked specifically on a dependent load
+	wantSlot    bool        // blocked waiting for any MSHR slot
+	atBarrier   bool        // blocked at a synchronization barrier
+	barrierSeq  int         // barriers passed (the ordinal of the next one)
 	blockStart  uint64
 	pending     *memReq // request waiting for an MSHR slot (valid when wantSlot)
 	finished    bool
@@ -71,10 +75,11 @@ type engine struct {
 	finishedThreads int
 	recheckFn       func() // prebuilt recheckBarriers event callback
 
-	// Coherence directory (Config.Coherence): per cache line, bits 0-15
-	// record which sockets hold a copy. A store invalidates every other
-	// socket's copies.
+	// Coherence directory (Config.Coherence): per last-level cache line,
+	// bits 0-15 record which sockets hold a copy. A store invalidates every
+	// other socket's copies. llcLineBits is log2 of the LLC line size.
 	directory     map[uint64]uint16
+	llcLineBits   uint
 	invalidations uint64
 
 	// reqFree is the memReq free list. In-flight requests are bounded by
@@ -96,8 +101,9 @@ func newEngine(cfg Config, m *machine.Machine, q eventq.Interface) *engine {
 	if cfg.Coherence {
 		e.directory = make(map[uint64]uint16)
 	}
-	if len(cfg.Spec.Levels) > 0 {
+	if n := len(cfg.Spec.Levels); n > 0 {
 		e.l1Latency = cfg.Spec.Levels[0].Latency
+		e.llcLineBits = uint(bits.TrailingZeros64(cfg.Spec.Levels[n-1].Line))
 	}
 	for c := 0; c < cfg.Cores; c++ {
 		cc := &core{
@@ -186,8 +192,9 @@ func (c *core) rotate(quantum uint64) {
 }
 
 // step runs one batch of the core's current thread: work cycles and cache
-// hits are executed inline until an off-chip miss, the batch limit, or the
-// end of the stream.
+// hits are executed inline until an off-chip miss, a barrier, the batch
+// limit, or the end of the stream. References are read in place from the
+// thread's current stream batch; the stream is called only to refill it.
 //
 //simcheck:hotpath
 func (e *engine) step(c *core) {
@@ -208,11 +215,14 @@ func (e *engine) step(c *core) {
 	var advance uint64
 	refs := 0
 	for {
-		if advance >= batchLimit || refs >= 8192 {
+		if advance >= batchLimit || refs >= stepRefLimit {
 			break
 		}
-		ref, ok := th.stream.Next()
-		if !ok {
+		if th.next == len(th.refs) {
+			th.refs, th.next = th.stream.Batch(), 0
+		}
+		if th.next == len(th.refs) {
+			th.refs = nil
 			th.finished = true
 			th.st.Finish = e.q.Now() + advance
 			e.finishedThreads++
@@ -222,6 +232,8 @@ func (e *engine) step(c *core) {
 			c.rotate(e.cfg.quantum)
 			break
 		}
+		ref := &th.refs[th.next]
+		th.next++
 		refs++
 		advance += uint64(ref.Work)
 		th.st.Work += uint64(ref.Work)
@@ -243,7 +255,7 @@ func (e *engine) step(c *core) {
 
 		res := e.m.Hierarchies[c.id].Access(ref.Addr)
 		if e.directory != nil {
-			e.coherence(c, ref)
+			e.coherence(c, ref.Addr, ref.Kind)
 		}
 		if !res.Miss {
 			// Hits beyond the first level stall the pipeline for the extra
@@ -305,11 +317,11 @@ func (e *engine) chargeQuantum(c *core, advance uint64) {
 // coherence applies the invalidation protocol for one access: stores drop
 // every other socket's copies of the line (and future accesses there miss
 // again — coherence misses); loads and stores record this socket's copy.
-func (e *engine) coherence(c *core, ref trace.Ref) {
-	line := ref.Addr >> 6
+func (e *engine) coherence(c *core, addr uint64, kind trace.Kind) {
+	line := addr >> e.llcLineBits
 	mask := e.directory[line]
 	bit := uint16(1) << uint(c.socket)
-	if ref.Kind == trace.Store && mask&^bit != 0 {
+	if kind == trace.Store && mask&^bit != 0 {
 		for s := 0; s < e.cfg.Spec.Sockets; s++ {
 			if s == c.socket || mask&(1<<uint(s)) == 0 {
 				continue
@@ -318,7 +330,7 @@ func (e *engine) coherence(c *core, ref trace.Ref) {
 			// levels are invalidated through whichever hierarchy holds
 			// them first.
 			for coreID := s * e.cfg.Spec.CoresPerSocket; coreID < (s+1)*e.cfg.Spec.CoresPerSocket; coreID++ {
-				if e.m.Hierarchies[coreID].Invalidate(ref.Addr) {
+				if e.m.Hierarchies[coreID].Invalidate(addr) {
 					e.invalidations++
 				}
 			}

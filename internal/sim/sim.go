@@ -109,6 +109,9 @@ const (
 	// batchLimit bounds how many cycles a core may advance per simulation
 	// event while executing cache hits.
 	batchLimit = 2000
+	// stepRefLimit bounds how many references a core may execute per
+	// simulation event, however few cycles they take.
+	stepRefLimit = 8192
 	// pageBytes is the NUMA page-placement granularity.
 	pageBytes = 4096
 )

@@ -73,12 +73,13 @@ func Write(w io.Writer, s Stream) (int, error) {
 	return count, bw.Flush()
 }
 
-// reader decodes the binary format as a Stream.
+// reader decodes the binary format as a Stream: its embedded Fill stream
+// calls decode for each batch.
 type reader struct {
+	Stream
 	br       *bufio.Reader
 	prevAddr uint64
 	err      error
-	done     bool
 }
 
 // NewReader returns a Stream decoding the binary trace format from r. A
@@ -95,44 +96,45 @@ func NewReader(r io.Reader) (Stream, error) {
 	if header[4] != traceVersion {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadTrace, header[4])
 	}
-	return &reader{br: br}, nil
+	rd := &reader{br: br}
+	rd.Stream = Fill(rd.decode)
+	return rd, nil
 }
 
-func (r *reader) Next() (Ref, bool) {
-	if r.done {
-		return Ref{}, false
-	}
-	flags, err := r.br.ReadByte()
-	if err != nil {
-		r.done = true
-		if err != io.EOF {
-			r.err = err
+// decode appends references to buf until it is full, reporting false once
+// the input ends or fails to decode.
+func (r *reader) decode(buf []Ref) ([]Ref, bool) {
+	for len(buf) < cap(buf) {
+		flags, err := r.br.ReadByte()
+		if err != nil {
+			if err != io.EOF {
+				r.err = err
+			}
+			return buf, false
 		}
-		return Ref{}, false
+		delta, err := binary.ReadVarint(r.br)
+		if err != nil {
+			r.err = fmt.Errorf("%w: truncated address", ErrBadTrace)
+			return buf, false
+		}
+		work, err := binary.ReadUvarint(r.br)
+		if err != nil {
+			r.err = fmt.Errorf("%w: truncated work", ErrBadTrace)
+			return buf, false
+		}
+		r.prevAddr += uint64(delta)
+		ref := Ref{
+			Addr: r.prevAddr,
+			Work: uint32(work),
+			Dep:  flags&flagDep != 0,
+			Sync: flags&flagSync != 0,
+		}
+		if flags&flagStore != 0 {
+			ref.Kind = Store
+		}
+		buf = append(buf, ref)
 	}
-	delta, err := binary.ReadVarint(r.br)
-	if err != nil {
-		r.done = true
-		r.err = fmt.Errorf("%w: truncated address", ErrBadTrace)
-		return Ref{}, false
-	}
-	work, err := binary.ReadUvarint(r.br)
-	if err != nil {
-		r.done = true
-		r.err = fmt.Errorf("%w: truncated work", ErrBadTrace)
-		return Ref{}, false
-	}
-	r.prevAddr += uint64(delta)
-	ref := Ref{
-		Addr: r.prevAddr,
-		Work: uint32(work),
-		Dep:  flags&flagDep != 0,
-		Sync: flags&flagSync != 0,
-	}
-	if flags&flagStore != 0 {
-		ref.Kind = Store
-	}
-	return ref, true
+	return buf, true
 }
 
 // Err reports a decoding error encountered by a NewReader stream (nil on

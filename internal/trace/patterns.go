@@ -14,24 +14,16 @@ type StrideSpec struct {
 
 // Stream returns a fresh stream over the spec.
 func (sp StrideSpec) Stream() Stream {
-	return &strideStream{spec: sp}
-}
-
-type strideStream struct {
-	spec StrideSpec
-	i    int
-}
-
-func (s *strideStream) Next() (Ref, bool) {
-	if s.i >= s.spec.Count {
-		return Ref{}, false
-	}
-	r := Ref{
-		Addr: s.spec.Base + uint64(s.i)*s.spec.Stride,
-		Kind: s.spec.Kind,
-		Dep:  s.spec.Dep,
-		Work: s.spec.Work,
-	}
-	s.i++
-	return r, true
+	i := 0
+	return Fill(func(buf []Ref) ([]Ref, bool) {
+		for ; i < sp.Count && len(buf) < cap(buf); i++ {
+			buf = append(buf, Ref{
+				Addr: sp.Base + uint64(i)*sp.Stride,
+				Kind: sp.Kind,
+				Dep:  sp.Dep,
+				Work: sp.Work,
+			})
+		}
+		return buf, i < sp.Count
+	})
 }

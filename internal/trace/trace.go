@@ -56,11 +56,18 @@ type Ref struct {
 	Work uint32
 }
 
-// Stream produces a sequence of references. Next returns the next reference
-// and true, or a zero Ref and false when the stream is exhausted. Streams
-// are single-consumer and not safe for concurrent use.
+// Stream produces a sequence of references. Streams are single-consumer and
+// not safe for concurrent use.
+//
+// Next returns the next reference and true, or a zero Ref and false when
+// the stream is exhausted. Batch returns every reference the stream has
+// buffered and not yet handed out, refilling first when none is left, and
+// marks them consumed; it returns an empty slice only at the end of the
+// stream. The slice stays valid until the next call to Next or Batch. Both
+// advance the same position, so calls may be mixed freely.
 type Stream interface {
 	Next() (Ref, bool)
+	Batch() []Ref
 }
 
 // sliceStream iterates over a materialized reference slice.
@@ -82,6 +89,16 @@ func (s *sliceStream) Next() (Ref, bool) {
 	r := s.refs[s.pos]
 	s.pos++
 	return r, true
+}
+
+// Batch hands out the whole unconsumed rest of the slice.
+func (s *sliceStream) Batch() []Ref {
+	if s.pos >= len(s.refs) {
+		return nil
+	}
+	b := s.refs[s.pos:]
+	s.pos = len(s.refs)
+	return b
 }
 
 // Collect drains a stream into a slice, up to max references (max <= 0
@@ -114,12 +131,12 @@ func Count(s Stream) int {
 
 // Fill returns a Stream that pulls references from fill in batches, with no
 // goroutine and no per-batch allocation. The stream owns one buffer of
-// fillCap references; whenever it is drained, Next hands it to fill with
-// length zero. fill appends the next batch and reports whether more batches
-// follow; a batch may be empty. fill may append past cap(buf): the stream
-// keeps the grown buffer for later batches, so a filler that appends whole
-// units and returns once its batch reaches half the capacity grows the
-// buffer only until it holds twice the filler's largest unit.
+// fillCap references; whenever it is drained, the stream hands it to fill
+// with length zero. fill appends the next batch and reports whether more
+// batches follow; a batch may be empty. fill may append past cap(buf): the
+// stream keeps the grown buffer for later batches, so a filler that appends
+// whole units and returns once its batch reaches half the capacity grows
+// the buffer only until it holds twice the filler's largest unit.
 func Fill(fill func(buf []Ref) ([]Ref, bool)) Stream {
 	return &fillStream{fill: fill, buf: make([]Ref, 0, fillCap), more: true}
 }
@@ -139,19 +156,42 @@ type fillStream struct {
 	more bool
 }
 
-// Next is called once per simulated reference.
+// refill makes sure unconsumed references are buffered, calling fill until
+// a batch is non-empty, and reports false at the end of the stream.
 //
 //simcheck:hotpath
-func (s *fillStream) Next() (Ref, bool) {
+func (s *fillStream) refill() bool {
 	for s.pos == len(s.buf) {
 		if !s.more {
 			s.fill, s.buf, s.pos = nil, nil, 0 // release the kernel state
-			return Ref{}, false
+			return false
 		}
 		s.buf, s.more = s.fill(s.buf[:0])
 		s.pos = 0
 	}
+	return true
+}
+
+// Next hands out one reference.
+//
+//simcheck:hotpath
+func (s *fillStream) Next() (Ref, bool) {
+	if !s.refill() {
+		return Ref{}, false
+	}
 	r := s.buf[s.pos]
 	s.pos++
 	return r, true
+}
+
+// Batch is called once per buffer of simulated references.
+//
+//simcheck:hotpath
+func (s *fillStream) Batch() []Ref {
+	if !s.refill() {
+		return nil
+	}
+	b := s.buf[s.pos:]
+	s.pos = len(s.buf)
+	return b
 }

@@ -1,6 +1,10 @@
 package trace
 
-import "testing"
+import (
+	"bytes"
+	"reflect"
+	"testing"
+)
 
 func TestFromSliceAndCollect(t *testing.T) {
 	refs := []Ref{
@@ -163,5 +167,84 @@ func TestKindString(t *testing.T) {
 	}
 	if Kind(9).String() != "unknown" {
 		t.Error("unknown kind string")
+	}
+}
+
+// TestBatchNextInterleaving pins that Batch and Next share one position:
+// on every kind of stream, mixing them hands out each reference once, in
+// order, and a drained stream stays drained for both.
+func TestBatchNextInterleaving(t *testing.T) {
+	const n = 2000
+	want := Collect(StrideSpec{Base: 64, Stride: 64, Count: n, Work: 1}.Stream(), 0)
+	var enc bytes.Buffer
+	if _, err := Write(&enc, FromSlice(want)); err != nil {
+		t.Fatal(err)
+	}
+	streams := map[string]func() Stream{
+		"slice":  func() Stream { return FromSlice(want) },
+		"stride": func() Stream { return StrideSpec{Base: 64, Stride: 64, Count: n, Work: 1}.Stream() },
+		"fill": func() Stream {
+			next := 0
+			return Fill(func(buf []Ref) ([]Ref, bool) {
+				for k := 0; k < 300 && next < n; k++ {
+					next++
+					buf = append(buf, Ref{Addr: uint64(next) * 64, Work: 1})
+				}
+				return buf, next < n
+			})
+		},
+		"reader": func() Stream {
+			s, err := NewReader(bytes.NewReader(enc.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		},
+	}
+	for name, mk := range streams {
+		t.Run(name, func(t *testing.T) {
+			s := mk()
+			var got []Ref
+			for i := 0; ; i++ {
+				if i%3 == 2 {
+					b := s.Batch()
+					if len(b) == 0 {
+						break
+					}
+					got = append(got, b...)
+					continue
+				}
+				r, ok := s.Next()
+				if !ok {
+					break
+				}
+				got = append(got, r)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("interleaved Next/Batch delivered %d refs, want the %d in order", len(got), len(want))
+			}
+			for i := 0; i < 3; i++ {
+				if b := s.Batch(); b != nil {
+					t.Fatalf("Batch after exhaustion = %d refs, want nil", len(b))
+				}
+				if _, ok := s.Next(); ok {
+					t.Fatal("Next after exhaustion returned a ref")
+				}
+			}
+		})
+	}
+}
+
+// TestBatchHandsOutBufferRest pins that Batch returns what is buffered
+// before refilling: after one Next, the rest of the first fill, then the
+// next fill whole.
+func TestBatchHandsOutBufferRest(t *testing.T) {
+	s := Fill(countFill(1000, 300))
+	s.Next()
+	if b := s.Batch(); len(b) != 299 || b[0].Addr != 64 {
+		t.Fatalf("first Batch = %d refs from %+v, want the 299 left of the first fill", len(b), b[0])
+	}
+	if b := s.Batch(); len(b) != 300 || b[0].Addr != 300*64 {
+		t.Fatalf("second Batch = %d refs, want the second fill of 300", len(b))
 	}
 }
